@@ -160,54 +160,22 @@ func runExecBench(ctx context.Context, iters int, seed int64) {
 		var m1, m2 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
-		var commS, waitS float64
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			res, err := ex.StepContext(ctx, micros)
-			if err != nil {
+			if _, err := ex.StepContext(ctx, micros); err != nil {
 				fail(err)
 			}
-			commS += sumF(res.CommSeconds)
-			waitS += sumF(res.CommWaitSeconds)
 		}
 		wall := time.Since(start)
 		runtime.ReadMemStats(&m2)
 		perIter := wall / time.Duration(iters)
-		fmt.Printf("  %-7s %s/iter  %6d B/iter  %4d allocs/iter  overlap %s  (%s total)\n",
+		fmt.Printf("  %-7s %s/iter  %6d B/iter  %4d allocs/iter  (%s total)\n",
 			tc.name,
 			stats.Seconds(perIter.Seconds()),
 			(m2.TotalAlloc-m1.TotalAlloc)/uint64(iters),
 			(m2.Mallocs-m1.Mallocs)/uint64(iters),
-			fmtOverlap(commS, waitS),
 			stats.Seconds(wall.Seconds()))
 	}
-}
-
-// sumF sums a float64 slice (per-replica-group comm second counters).
-func sumF(xs []float64) float64 {
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
-// fmtOverlap renders the fraction of gradient-communication time hidden
-// behind backward compute: 1 - wait/comm, clamped to [0,1]. On a workload
-// with no replicated stages (no all-reduce at all) there is nothing to
-// overlap, so it reports "n/a" rather than a misleading 100%.
-func fmtOverlap(commS, waitS float64) string {
-	if commS <= 0 {
-		return "n/a"
-	}
-	eff := 1 - waitS/commS
-	if eff < 0 {
-		eff = 0
-	}
-	if eff > 1 {
-		eff = 1
-	}
-	return fmt.Sprintf("%.0f%%", 100*eff)
 }
 
 // runExecBenchTCP times the same workload as runExecBench through the full
@@ -305,13 +273,12 @@ func runExecBenchTCP(ctx context.Context, iters int, seed int64) {
 		runtime.ReadMemStats(&m2)
 		wire2 := wire()
 		perIter := wall / time.Duration(iters)
-		fmt.Printf("  %-7s %s/iter  %6d B/iter  %4d allocs/iter  %s wire/iter  overlap %.0f%%  (%s total)\n",
+		fmt.Printf("  %-7s %s/iter  %6d B/iter  %4d allocs/iter  %s wire/iter  (%s total)\n",
 			tc.name,
 			stats.Seconds(perIter.Seconds()),
 			(m2.TotalAlloc-m1.TotalAlloc)/uint64(iters),
 			(m2.Mallocs-m1.Mallocs)/uint64(iters),
 			stats.Bytes((wire2-wire1)/int64(iters)),
-			100*coord.OverlapEfficiency(),
 			stats.Seconds(wall.Seconds()))
 
 		if err := coord.Close(); err != nil {

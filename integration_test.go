@@ -19,29 +19,42 @@ import (
 	"dapple/internal/train"
 )
 
-// TestWarmupDepthMatchesRealRuntime: the simulated DAPPLE schedule's warmup
-// depth K_i and the real pipeline's peak activation stash must agree — both
-// implement K_i = S - i early-backward scheduling.
+// stagePlan profiles net and carves it at cuts (exclusive layer ends) into
+// one-device stages: a core.Plan both the simulator and the real runtime
+// take.
+func stagePlan(t *testing.T, net *nn.Network, inDim, rows, m int, cuts []int) *core.Plan {
+	t.Helper()
+	mod, err := train.ProfileNetwork("integration", net, inDim, rows, rows*m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &core.Plan{Model: mod, Cluster: hardware.ConfigB(len(cuts)), GBS: rows * m, MicroBatch: rows}
+	lo := 0
+	for i, hi := range cuts {
+		p.Stages = append(p.Stages, core.Stage{Lo: lo, Hi: hi, Devices: []hardware.DeviceID{hardware.DeviceID(i)}})
+		lo = hi
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWarmupDepthMatchesRealRuntime: one plan, simulated and really executed
+// — the simulated DAPPLE schedule's warmup depth K_i and the real runtime's
+// peak activation stash must agree, both K_i = S - i early-backward
+// scheduling.
 func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
 	const stages, m = 3, 9
 
-	// Simulated side: uniform 6-layer model, 3-stage straight pipeline.
-	mod := model.Synthetic(6, 1e-3, 1<<20, 4<<20, 1<<20)
-	plan := baselines.GPipePlan(mod, hardware.ConfigB(stages), m, stages)
+	// A 9-layer MLP (Dense/ReLU alternation) in 3 equal stages.
+	master := nn.MLP([]int{8, 16, 16, 16, 16, 4}, 7)
+	plan := stagePlan(t, master, 8, 4, m, []int{3, 6, 9})
 	res, err := Simulate(plan, ScheduleOptions{Policy: DapplePA, M: m, MemLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Real side: a 9-layer MLP (Dense/ReLU alternation) in 3 equal stages.
-	master := nn.MLP([]int{8, 16, 16, 16, 16, 4}, 7)
-	pipe, err := train.NewPipeline(master, train.PipelineConfig{
-		Cuts:   []int{3, 6, 9},
-		Policy: train.DappleSchedule,
-	}, func() nn.Optimizer { return nn.SGD{LR: 0} })
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	micros := make([]train.Batch, m)
 	for i := range micros {
@@ -49,7 +62,8 @@ func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
 		x.Randomize(rng, 1)
 		micros[i] = train.Batch{X: x, Y: []int{0, 1, 2, 3}}
 	}
-	st, err := pipe.Step(micros)
+	st, err := train.ExecutePlan(context.Background(), plan, master, micros,
+		func() nn.Optimizer { return nn.SGD{LR: 0} }, train.ExecOptions{Policy: DapplePA, MemLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +216,19 @@ func TestRecomputeEquivalenceEndToEnd(t *testing.T) {
 		x.Randomize(rng, 1)
 		micros[i] = train.Batch{X: x, Y: []int{0, 1, 2}}
 	}
+	realPlan := stagePlan(t, master, 6, 3, len(micros), []int{2, 5})
 	run := func(recompute bool) []float64 {
-		pipe, err := train.NewPipeline(master, train.PipelineConfig{
-			Cuts: []int{2, 5}, Policy: train.DappleSchedule, Recompute: recompute,
-		}, func() nn.Optimizer { return nn.SGD{LR: 0.1} })
+		ex, err := train.NewExecutor(realPlan, master, func() nn.Optimizer { return nn.SGD{LR: 0.1} },
+			train.ExecOptions{Policy: DapplePA, Recompute: recompute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipe.Step(micros); err != nil {
+		if _, err := ex.Step(micros); err != nil {
 			t.Fatal(err)
 		}
 		var ps []float64
-		for s := 0; s < pipe.NumStages(); s++ {
-			for _, p := range pipe.StageParams(s, 0) {
+		for s := 0; s < ex.NumStages(); s++ {
+			for _, p := range ex.StageParams(s, 0) {
 				ps = append(ps, p.W.Data...)
 			}
 		}

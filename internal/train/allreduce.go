@@ -1,11 +1,12 @@
 // Package train is the real concurrent training runtime: goroutines are
 // devices, channels are interconnects, and with the TCP transport backend
-// worker processes are servers. It executes the same schedules the
-// simulator models — sequential accumulation, data parallelism with a real
-// ring all-reduce, and GPipe/DAPPLE pipelines with split/concat stage
-// replication — on genuine gradient math (packages tensor, nn), which is how
-// this reproduction *proves* the paper's claim that DAPPLE scheduling yields
-// gradients equivalent to sequential execution.
+// worker processes are servers. Its one runtime, Executor, runs whatever
+// core.Plan the planner emits — GPipe or DAPPLE schedules, split/concat
+// stage replication, re-computation — on genuine gradient math (packages
+// tensor, nn); data parallelism is simply the one-stage plan. Replicated
+// stages synchronize gradients through one path, the bucketed backward-time
+// all-reduce. This is how the reproduction *proves* the paper's claim that
+// DAPPLE scheduling yields gradients equivalent to sequential execution.
 package train
 
 import (
@@ -17,28 +18,6 @@ import (
 	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
-
-// RingAllReduce sums the participants' equal-length vectors in place using
-// the standard ring algorithm: n-1 reduce-scatter steps followed by n-1
-// all-gather steps, each participant running as its own goroutine and
-// exchanging chunks over channels. On return every buffer holds the
-// element-wise sum.
-func RingAllReduce(bufs [][]float64) {
-	n := len(bufs)
-	if n <= 1 {
-		return
-	}
-	size := len(bufs[0])
-	for _, b := range bufs[1:] {
-		if len(b) != size {
-			panic("train: ring all-reduce buffers differ in length")
-		}
-	}
-	if size == 0 {
-		return
-	}
-	transport.NewRing(n, size).AllReduce(bufs)
-}
 
 // serverGroups maps a replica group's devices onto the cluster topology:
 // the replica indices grouped by hosting server, in replica order. It
@@ -73,18 +52,25 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 	return groups
 }
 
-// arGroup synchronizes one stage's replica gradients at iteration end.
-// Every locally hosted replica worker reports to the group exactly once per
-// step — arrive with its flattened gradients on success, abandon on any
-// failure — and the last local report decides the stage's fate atomically:
-// if all arrived, the last one runs the collective and commits; if any
-// replica abandoned, nobody local commits. Because the decision is taken
-// once, with complete information, an aborted step can never apply a weight
-// update on some local replicas but not others. (Across worker processes
-// the commit is fail-stop instead: a step aborted mid-exchange ends the
-// session, so torn cross-process commits are never trained on.) Waiters
-// block on done alone (no abort select): every peer's error path leads to
-// abandon, so done always closes. The group is reset — not reallocated —
+// arGroup synchronizes one replicated stage's gradients: the stage's
+// gradient vector is partitioned into layer-aligned buckets, each with its
+// own barrier and collective instance. Because every collective accumulates
+// in canonical participant order per element, the concatenation of
+// per-bucket sums is bit-identical to one whole-vector reduction — which is
+// exactly what a single-bucket layout (BucketBytes at least the stage's
+// gradient bytes) computes. Bucket collectives run on a per-step comm
+// goroutine (runComm) in arrival order, overlapping the replicas' still-
+// running backward compute; workers block only at the step-end waitBuckets.
+//
+// Every locally hosted replica reports each bucket exactly once per step —
+// arriveBucket with its flattened gradients, or abandon on any failure —
+// and the head bucket is withheld until the replica finished its whole
+// compute phase. A bucket commits only when all local replicas arrived and
+// its collective completed, and a stage commits only when every bucket did,
+// so an aborted step can never apply a weight update on some local replicas
+// but not others. (Across worker processes the commit is fail-stop instead:
+// a step aborted mid-exchange ends the session, so torn cross-process
+// commits are never trained on.) The group is reset — not reallocated —
 // every step.
 //
 // The collective is chosen from the plan's topology: a flat in-process ring
@@ -96,27 +82,8 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 // cross-process exchange (transport.Group) and local broadcast, which is
 // the same hierarchy with the process boundary as the server boundary.
 type arGroup struct {
-	mu      sync.Mutex
-	bufs    [][]float64
-	arrived int
-	failed  bool
-	commit  bool
-	done    chan struct{}
+	algo string // "ring" or "hierarchical"
 
-	ring *transport.Ring
-	hier *transport.Hier
-	dist transport.Group
-	acc  []float64 // dist: local member-order reduction scratch
-	algo string
-
-	// Bucketed backward-time overlap state (empty in monolithic mode or when
-	// the stage needs no collective). Buckets are layer-aligned sub-ranges of
-	// the flattened gradient, each with its own collective instance; because
-	// every collective accumulates in canonical participant order per
-	// element, the concatenation of per-bucket sums is bit-identical to one
-	// whole-vector reduction. Bucket collectives run on a per-step comm
-	// goroutine (runComm) in arrival order, overlapping the replicas' still-
-	// running backward compute; workers block only at the step-end waitBuckets.
 	buckets     []arBucket
 	layerBucket []int         // stage-local layer -> bucket whose range starts there, else -1
 	reduceQ     chan int      // completed-bucket indices, cap len(buckets)
@@ -148,34 +115,6 @@ type arBucket struct {
 	hier *transport.Hier
 	dist transport.Group
 	acc  []float64
-}
-
-// newARGroup returns a reusable barrier for n locally hosted replicas of
-// size-element gradient vectors. devs are the local replicas' devices (used
-// with the cluster topology to pick the collective); dist is the
-// cross-process exchange group for stages spanning workers, nil otherwise.
-func newARGroup(n, size int, c hardware.Cluster, devs []hardware.DeviceID, dist transport.Group) *arGroup {
-	g := &arGroup{bufs: make([][]float64, n), done: make(chan struct{}), algo: "none"}
-	if size == 0 {
-		// Parameter-free stage: nothing to sum, locally or remotely.
-		return g
-	}
-	if dist != nil {
-		g.dist = dist
-		g.acc = make([]float64, size)
-		g.algo = "hierarchical"
-		return g
-	}
-	if n > 1 {
-		if groups := serverGroups(c, devs); groups != nil {
-			g.hier = transport.NewHier(groups, size)
-			g.algo = "hierarchical"
-		} else {
-			g.ring = transport.NewRing(n, size)
-			g.algo = "ring"
-		}
-	}
-	return g
 }
 
 // defaultBucketBytes is the target flattened size of one overlap bucket when
@@ -259,24 +198,27 @@ func bucketLayout(net *nn.Network, bucketBytes int) []bucketSpec {
 	return specs
 }
 
-// initBuckets arms the group's backward-time overlap path: one barrier and
-// collective per spec, each picked from the same topology rules as the
-// monolithic path (openDist non-nil when the stage spans worker processes;
-// it opens the cross-process exchange group of one bucket). nlayers is the
-// stage's layer count. Must be called once, right after newARGroup, before
-// any step runs.
-func (g *arGroup) initBuckets(n int, c hardware.Cluster, devs []hardware.DeviceID, nlayers int, specs []bucketSpec, openDist func(b, size int) (transport.Group, error)) error {
-	if len(specs) == 0 {
-		return nil
+// newARGroup builds the synchronization of a stage with n locally hosted
+// replicas of a network of nlayers layers, one barrier and collective per
+// bucket spec. devs are the local replicas' devices (used with the cluster
+// topology to pick the collective); openDist is non-nil when the stage spans
+// worker processes and opens the cross-process exchange group of one
+// bucket.
+func newARGroup(n int, c hardware.Cluster, devs []hardware.DeviceID, nlayers int, specs []bucketSpec, openDist func(b, size int) (transport.Group, error)) (*arGroup, error) {
+	groups := serverGroups(c, devs)
+	g := &arGroup{
+		algo:        "ring",
+		buckets:     make([]arBucket, len(specs)),
+		layerBucket: make([]int, nlayers),
+		reduceQ:     make(chan int, len(specs)),
+		commDone:    make(chan struct{}),
 	}
-	g.buckets = make([]arBucket, len(specs))
-	g.layerBucket = make([]int, nlayers)
+	if openDist != nil || groups != nil {
+		g.algo = "hierarchical"
+	}
 	for i := range g.layerBucket {
 		g.layerBucket[i] = -1
 	}
-	g.reduceQ = make(chan int, len(specs))
-	g.commDone = make(chan struct{})
-	groups := serverGroups(c, devs)
 	for b, sp := range specs {
 		bk := &g.buckets[b]
 		bk.spec = sp
@@ -284,46 +226,27 @@ func (g *arGroup) initBuckets(n int, c hardware.Cluster, devs []hardware.DeviceI
 		bk.seen = make([]bool, n)
 		g.layerBucket[sp.LayerLo] = b
 		size := sp.End - sp.Off
-		if openDist != nil {
+		switch {
+		case openDist != nil:
 			grp, err := openDist(b, size)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			bk.dist = grp
 			bk.acc = make([]float64, size)
-			continue
-		}
-		if n > 1 {
-			if groups != nil {
-				bk.hier = transport.NewHier(groups, size)
-			} else {
-				bk.ring = transport.NewRing(n, size)
-			}
+		case groups != nil:
+			bk.hier = transport.NewHier(groups, size)
+		default:
+			bk.ring = transport.NewRing(n, size)
 		}
 	}
-	return nil
+	return g, nil
 }
 
-// bucketed reports whether the group synchronizes through the overlap path.
-func (g *arGroup) bucketed() bool { return len(g.buckets) > 0 }
-
-// algorithm names the collective the group selected ("none", "ring" or
-// "hierarchical").
-func (g *arGroup) algorithm() string { return g.algo }
-
-// reset re-arms the barrier for the next step.
+// reset re-arms the barriers for the next step.
 func (g *arGroup) reset() {
-	g.arrived = 0
-	g.failed = false
-	g.commit = false
-	g.done = make(chan struct{})
-	for i := range g.bufs {
-		g.bufs[i] = nil
-	}
 	g.commNanos = 0
-	if g.bucketed() {
-		g.commDone = make(chan struct{})
-	}
+	g.commDone = make(chan struct{})
 	for b := range g.buckets {
 		bk := &g.buckets[b]
 		bk.arrived = 0
@@ -337,38 +260,24 @@ func (g *arGroup) reset() {
 }
 
 // abandon is failed local replica r's report: it counts as the replica's
-// arrival and vetoes the stage's commit, releasing any waiting peers. In
-// bucketed mode the veto lands on every bucket the replica has not yet
-// reported — including the head bucket it withholds until the sync point —
-// so peers' waitBuckets can never see a full commit once any local replica
-// failed.
+// arrival and vetoes every bucket the replica has not yet reported —
+// including the head bucket it withholds until the sync point — so peers'
+// waitBuckets can never see a full commit once any local replica failed.
 func (g *arGroup) abandon(r int) {
-	if g.bucketed() {
-		for b := range g.buckets {
-			bk := &g.buckets[b]
-			bk.mu.Lock()
-			enq := false
-			if !bk.seen[r] {
-				bk.seen[r] = true
-				bk.arrived++
-				bk.failed = true
-				enq = bk.arrived == len(bk.bufs)
-			}
-			bk.mu.Unlock()
-			if enq {
-				g.reduceQ <- b
-			}
+	for b := range g.buckets {
+		bk := &g.buckets[b]
+		bk.mu.Lock()
+		enq := false
+		if !bk.seen[r] {
+			bk.seen[r] = true
+			bk.arrived++
+			bk.failed = true
+			enq = bk.arrived == len(bk.bufs)
 		}
-		return
-	}
-	g.mu.Lock()
-	g.arrived++
-	g.failed = true
-	last := g.arrived == len(g.bufs)
-	done := g.done
-	g.mu.Unlock()
-	if last {
-		close(done)
+		bk.mu.Unlock()
+		if enq {
+			g.reduceQ <- b
+		}
 	}
 }
 
@@ -393,9 +302,8 @@ func (g *arGroup) arriveBucket(r, b int, buf []float64) {
 }
 
 // waitBuckets blocks until every bucket's collective resolved, reporting
-// whether ALL buckets committed — the bucketed form of arrive's return
-// value. All local replicas observe the same answer, so weight updates stay
-// all-or-nothing per stage.
+// whether ALL buckets committed. All local replicas observe the same answer,
+// so weight updates stay all-or-nothing per stage.
 func (g *arGroup) waitBuckets() bool {
 	<-g.commDone
 	ok := true
@@ -407,7 +315,7 @@ func (g *arGroup) waitBuckets() bool {
 	return ok
 }
 
-// runComm is the per-step collective driver of a bucketed group: it runs
+// runComm is the per-step collective driver of a group: it runs
 // each completed bucket's collective in arrival order — concurrently with
 // the replicas' remaining backward compute — and resolves the bucket's
 // commit. It processes every bucket exactly once per step (abandon
@@ -432,42 +340,10 @@ func (g *arGroup) runComm(abort <-chan struct{}) {
 	close(g.commDone)
 }
 
-// arrive contributes local replica r's buf and blocks until every local
-// replica has reported, returning whether the stage committed. On commit,
-// every replica's buf holds the bit-identical all-reduced sum (across
-// worker processes too, when the stage spans them).
-func (g *arGroup) arrive(r int, buf []float64, abort <-chan struct{}) bool {
-	n := len(g.bufs)
-	if n == 1 && g.dist == nil {
-		return true
-	}
-	g.mu.Lock()
-	g.bufs[r] = buf
-	g.arrived++
-	last := g.arrived == n
-	failed := g.failed
-	done := g.done
-	g.mu.Unlock()
-	if last {
-		if !failed {
-			t0 := time.Now()
-			if reduceBufs(g.bufs, g.ring, g.hier, g.dist, g.acc, abort) {
-				g.commit = true // written before close(done), read after it
-			}
-			g.commNanos = time.Since(t0).Nanoseconds()
-		}
-		close(done)
-	} else {
-		<-done
-	}
-	return g.commit
-}
-
-// reduceBufs runs one collective over the arrived buffers — the shared body
-// of the monolithic and per-bucket paths — reporting whether it completed.
-// With dist, it is a local reduce in member order, cross-process exchange,
-// local broadcast: hierarchical with the process boundary as the server
-// boundary. The exchange sums worker contributions in rank order on every
+// reduceBufs runs one bucket's collective over the arrived buffers,
+// reporting whether it completed. With dist, it is a local reduce in member
+// order, cross-process exchange, local broadcast: hierarchical with the
+// process boundary as the server boundary. The exchange sums worker contributions in rank order on every
 // rank, so the broadcast total is bit-identical everywhere. All local sums
 // go through tensor.VecAddInto — the same audited accumulation kernel the
 // in-process and TCP collectives use.

@@ -29,6 +29,9 @@ import (
 const (
 	ckptMagic   = 0xDA99C4B7
 	ckptVersion = 1
+	// maxCkptSlots bounds the optimizer slots a checkpoint may declare; no
+	// optimizer keeps more than a few per-parameter vectors (Adam keeps 2).
+	maxCkptSlots = 16
 )
 
 // Checkpoint is one consistent snapshot of a training session's master
@@ -149,51 +152,58 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 	nparams := int(binary.LittleEndian.Uint32(body[24:]))
 	nslots := int(binary.LittleEndian.Uint32(body[28:]))
 	at := 32
-	need := func(n int) error {
-		if at+n > len(body) {
+	// Every count is checked against the bytes left in the body before
+	// anything is allocated: a parameter takes at least 16 bytes (shape plus
+	// one weight) and, when there are parameters, every slot at least 8 per
+	// parameter. Without parameters the slots are empty, so maxCkptSlots
+	// bounds them instead.
+	if nparams > (len(body)-at)/16 {
+		return nil, fmt.Errorf("train: checkpoint claims %d params in %d bytes", nparams, len(body)-at)
+	}
+	if nslots > maxCkptSlots || (nparams > 0 && nslots > (len(body)-at)/(8*nparams)) {
+		return nil, fmt.Errorf("train: checkpoint claims %d optimizer slots for %d params in %d bytes", nslots, nparams, len(body)-at)
+	}
+	// need fails unless n more float64s remain in the body; read then fills
+	// dst from it.
+	need := func(n uint64) error {
+		if n > uint64(len(body)-at)/8 {
 			return fmt.Errorf("train: checkpoint truncated at byte %d", at)
 		}
 		return nil
 	}
-	readVec := func(n int) ([]float64, error) {
-		if err := need(8 * n); err != nil {
-			return nil, err
-		}
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[at:]))
+	read := func(dst []float64) {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[at:]))
 			at += 8
 		}
-		return v, nil
 	}
 	c.Weights = make([]*tensor.Matrix, nparams)
-	for i := 0; i < nparams; i++ {
-		if err := need(8); err != nil {
-			return nil, err
+	for i := range c.Weights {
+		if len(body)-at < 8 {
+			return nil, fmt.Errorf("train: checkpoint truncated at byte %d", at)
 		}
-		rows := int(binary.LittleEndian.Uint32(body[at:]))
-		cols := int(binary.LittleEndian.Uint32(body[at+4:]))
+		rows := binary.LittleEndian.Uint32(body[at:])
+		cols := binary.LittleEndian.Uint32(body[at+4:])
 		at += 8
-		if rows <= 0 || cols <= 0 {
+		if rows == 0 || cols == 0 {
 			return nil, fmt.Errorf("train: checkpoint param %d has shape %dx%d", i, rows, cols)
 		}
-		w := tensor.New(rows, cols)
-		vec, err := readVec(rows * cols)
-		if err != nil {
+		// Both factors are below 2^32, so the product cannot overflow.
+		if err := need(uint64(rows) * uint64(cols)); err != nil {
 			return nil, err
 		}
-		copy(w.Data, vec)
-		c.Weights[i] = w
+		c.Weights[i] = tensor.New(int(rows), int(cols))
+		read(c.Weights[i].Data)
 	}
 	c.Slots = make([][][]float64, nslots)
-	for s := 0; s < nslots; s++ {
+	for s := range c.Slots {
 		c.Slots[s] = make([][]float64, nparams)
-		for i := 0; i < nparams; i++ {
-			vec, err := readVec(len(c.Weights[i].Data))
-			if err != nil {
+		for i, w := range c.Weights {
+			if err := need(uint64(len(w.Data))); err != nil {
 				return nil, err
 			}
-			c.Slots[s][i] = vec
+			c.Slots[s][i] = make([]float64, len(w.Data))
+			read(c.Slots[s][i])
 		}
 	}
 	if at != len(body) {

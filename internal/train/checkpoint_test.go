@@ -1,6 +1,9 @@
 package train
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -137,6 +140,58 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		if _, err := DecodeCheckpoint(buf[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
+	}
+}
+
+// craftCheckpoint assembles a CRC-valid checkpoint from raw header counts,
+// per-parameter shapes and nfloats zero payload values — the bytes a
+// hostile or buggy writer could produce, bypassing EncodeCheckpoint.
+func craftCheckpoint(nparams, nslots uint32, shapes [][2]uint32, nfloats int) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint32(nil, ckptMagic)
+	buf = le.AppendUint32(buf, ckptVersion)
+	buf = le.AppendUint64(buf, 0)
+	buf = le.AppendUint64(buf, 0)
+	buf = le.AppendUint32(buf, nparams)
+	buf = le.AppendUint32(buf, nslots)
+	for _, sh := range shapes {
+		buf = le.AppendUint32(buf, sh[0])
+		buf = le.AppendUint32(buf, sh[1])
+	}
+	buf = append(buf, make([]byte, 8*nfloats)...)
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestCheckpointRejectsCraftedHeaders feeds DecodeCheckpoint CRC-valid files
+// whose counts or shapes claim more data than they hold. Each must be an
+// error — never an out-of-memory crash or a makeslice panic from
+// allocating what the header claims before checking the body holds it.
+func TestCheckpointRejectsCraftedHeaders(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		nparams, nslots uint32
+		shapes          [][2]uint32
+		nfloats         int
+	}{
+		{"huge-param", 1, 0, [][2]uint32{{1 << 20, 1 << 20}}, 0},
+		{"overflowing-shape", 1, 0, [][2]uint32{{1 << 31, 1<<31 + 1}}, 0},
+		{"param-one-short", 1, 0, [][2]uint32{{2, 2}}, 3},
+		{"huge-param-count", math.MaxUint32, 0, nil, 0},
+		{"param-count-past-body", 3, 0, [][2]uint32{{1, 1}}, 1},
+		{"huge-slot-count", 1, math.MaxUint32, [][2]uint32{{1, 1}}, 1},
+		{"slots-without-params", 0, math.MaxUint32, nil, 0},
+		{"slot-truncated", 1, 1, [][2]uint32{{1, 2}}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := craftCheckpoint(tc.nparams, tc.nslots, tc.shapes, tc.nfloats)
+			if _, err := DecodeCheckpoint(buf); err == nil {
+				t.Fatal("crafted checkpoint accepted")
+			}
+		})
+	}
+	// The same writer with honest counts is accepted.
+	if _, err := DecodeCheckpoint(craftCheckpoint(1, 1, [][2]uint32{{1, 2}}, 4)); err != nil {
+		t.Fatalf("well-formed crafted checkpoint rejected: %v", err)
 	}
 }
 

@@ -132,11 +132,10 @@ type Manifest struct {
 	// Policy and Recompute mirror ExecOptions.
 	Policy    int  `json:"policy"`
 	Recompute bool `json:"recompute"`
-	// BucketBytes and MonolithicAR mirror the gradient-sync ExecOptions so
-	// every rank derives the same bucket layout (and thus the same
-	// bucket-group ids) for the cross-process all-reduce groups.
-	BucketBytes  int  `json:"bucketBytes,omitempty"`
-	MonolithicAR bool `json:"monolithicAR,omitempty"`
+	// BucketBytes mirrors ExecOptions.BucketBytes so every rank derives the
+	// same bucket layout (and thus the same bucket-group ids) for the
+	// cross-process all-reduce groups.
+	BucketBytes int `json:"bucketBytes,omitempty"`
 	// Net is the network skeleton; Opt the shared optimizer.
 	Net []LayerSpec `json:"net"`
 	Opt OptSpec     `json:"opt"`
@@ -189,25 +188,11 @@ type envelope struct {
 	// OptStep rides on weights-done and snap-ack: the optimizer's update
 	// counter belonging to the broadcast or gathered state.
 	OptStep int `json:"optStep,omitempty"`
-	// CommS and WaitS ride on step-done: the rank's gradient-sync seconds
-	// and the portion its compute workers spent blocked on it, feeding the
-	// coordinator's overlap-efficiency aggregate.
-	CommS float64 `json:"commS,omitempty"`
-	WaitS float64 `json:"waitS,omitempty"`
 	// CkptBytes rides on a reconfig toward a freshly joined rank: the exact
 	// byte length of the checkpoint stream (tensCkpt frames) that follows
 	// instead of the per-parameter state broadcast. Zero selects the
 	// broadcast format.
 	CkptBytes int64 `json:"ckptBytes,omitempty"`
-}
-
-// sum totals a per-stage seconds slice for a step-done report.
-func sum(xs []float64) float64 {
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // NetSpec extracts the structural skeleton of a network for the manifest.
@@ -228,24 +213,49 @@ func NetSpec(n *nn.Network) ([]LayerSpec, error) {
 	return spec, nil
 }
 
+// maxNetParams bounds the parameter count of one manifest layer and of the
+// whole manifest network, far above every network this repository trains,
+// so a corrupt or hostile manifest is an error rather than an allocation
+// that kills the worker.
+const maxNetParams = 1 << 26
+
 // BuildNet constructs the skeleton a spec describes. Dense weights are
-// placeholders until the coordinator's broadcast overwrites them.
+// placeholders until the coordinator's broadcast overwrites them. Dense
+// layers must chain (each In equals the previous dense layer's Out), and no
+// layer nor the network may exceed maxNetParams parameters.
 func BuildNet(spec []LayerSpec) (*nn.Network, error) {
-	rng := rand.New(rand.NewSource(0))
 	net := &nn.Network{}
-	for _, ls := range spec {
+	total, prevOut := 0, 0
+	for i, ls := range spec {
 		switch ls.Kind {
 		case "dense":
 			if ls.In <= 0 || ls.Out <= 0 {
 				return nil, fmt.Errorf("train: dense layer with shape %dx%d", ls.In, ls.Out)
 			}
-			net.Layers = append(net.Layers, nn.NewDense(ls.In, ls.Out, rng))
+			if prevOut > 0 && ls.In != prevOut {
+				return nil, fmt.Errorf("train: layer %d takes %d inputs, previous dense layer emits %d", i, ls.In, prevOut)
+			}
+			// Weights plus bias, checked without overflowing.
+			if ls.In >= maxNetParams/ls.Out {
+				return nil, fmt.Errorf("train: dense layer %d of shape %dx%d exceeds %d parameters", i, ls.In, ls.Out, maxNetParams)
+			}
+			if total += (ls.In + 1) * ls.Out; total > maxNetParams {
+				return nil, fmt.Errorf("train: network exceeds %d parameters at layer %d", maxNetParams, i)
+			}
+			prevOut = ls.Out
+			net.Layers = append(net.Layers, nil) // allocated once the whole spec checks out
 		case "relu":
 			net.Layers = append(net.Layers, nn.ReLU{})
 		case "tanh":
 			net.Layers = append(net.Layers, nn.Tanh{})
 		default:
 			return nil, fmt.Errorf("train: unknown layer kind %q", ls.Kind)
+		}
+	}
+	rng := rand.New(rand.NewSource(0))
+	for i, ls := range spec {
+		if ls.Kind == "dense" {
+			net.Layers[i] = nn.NewDense(ls.In, ls.Out, rng)
 		}
 	}
 	return net, nil
@@ -258,6 +268,18 @@ func sendEnvelope(t *transport.TCP, peer int, env envelope) error {
 		return err
 	}
 	return t.SendControl(peer, raw)
+}
+
+// decodeCtrl decodes one control frame and hands its buffer back to the
+// transport; a malformed frame's error names the sending rank.
+func decodeCtrl(t *transport.TCP, cm transport.CtrlMsg) (envelope, error) {
+	var env envelope
+	err := json.Unmarshal(cm.Data, &env)
+	t.RecycleCtrl(cm.Data)
+	if err != nil {
+		return envelope{}, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
+	}
+	return env, nil
 }
 
 // recvEnvelope blocks for the next control message, decoding it; it fails
@@ -275,23 +297,15 @@ func recvEnvelope(ctx context.Context, t *transport.TCP, watch ...int) (int, env
 		}
 		select {
 		case cm := <-t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			t.RecycleCtrl(cm.Data)
-			if err != nil {
-				return cm.Peer, envelope{}, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
-			}
-			return cm.Peer, env, nil
+			env, err := decodeCtrl(t, cm)
+			return cm.Peer, env, err
 		case <-dwait:
 		case <-t.Done():
 			// Drain messages demuxed before the transport died: a shutdown
 			// that raced a peer's teardown must still be seen as a shutdown.
 			select {
 			case cm := <-t.Ctrl():
-				var env envelope
-				err := json.Unmarshal(cm.Data, &env)
-				t.RecycleCtrl(cm.Data)
-				if err == nil {
+				if env, err := decodeCtrl(t, cm); err == nil {
 					return cm.Peer, env, nil
 				}
 			default:
@@ -465,8 +479,6 @@ type Coordinator struct {
 	addrs     map[int]string // listen address per live or joining rank
 	manHash   string         // invariant-manifest hash joiners must match
 
-	commS, waitS float64 // gradient-sync seconds aggregated from step-done reports
-
 	yfree chan *tensor.Matrix // recycled per-micro label staging buffers
 }
 
@@ -567,8 +579,7 @@ func (c *Coordinator) manifest() (*Manifest, error) {
 	man := &Manifest{
 		Model: *c.plan.Model, Cluster: c.plan.Cluster,
 		GBS: c.plan.GBS, MicroBatch: c.plan.MicroBatch,
-		Policy: int(c.eo.Policy), Recompute: c.eo.Recompute,
-		BucketBytes: c.eo.BucketBytes, MonolithicAR: c.eo.MonolithicAllReduce,
+		Policy: int(c.eo.Policy), Recompute: c.eo.Recompute, BucketBytes: c.eo.BucketBytes,
 		Net: net, Opt: c.opt, DeviceRanks: c.deviceRanks,
 		Workers:    c.coord,
 		Ranks:      append([]int(nil), c.alive...),
@@ -584,23 +595,6 @@ func (c *Coordinator) manifest() (*Manifest, error) {
 		man.Stages = append(man.Stages, ss)
 	}
 	return man, nil
-}
-
-// OverlapEfficiency reports the fraction of gradient-sync time the session
-// hid behind backward compute, aggregated over every worker's step reports:
-// 1 - wait/comm, clamped to [0, 1]. Zero until a step has communicated.
-func (c *Coordinator) OverlapEfficiency() float64 {
-	if c.commS <= 0 {
-		return 0
-	}
-	eff := 1 - c.waitS/c.commS
-	if eff < 0 {
-		return 0
-	}
-	if eff > 1 {
-		return 1
-	}
-	return eff
 }
 
 // floor is the transport epoch floor of the current session generation.
@@ -774,11 +768,9 @@ func (c *Coordinator) tryStep(ctx context.Context, micros []Batch) (float64, err
 		}
 		select {
 		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
+			env, err := decodeCtrl(c.t, cm)
 			if err != nil {
-				return 0, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
+				return 0, err
 			}
 			switch env.Kind {
 			case ctrlStepDone:
@@ -788,8 +780,6 @@ func (c *Coordinator) tryStep(ctx context.Context, micros []Batch) (float64, err
 				if pending[cm.Peer] {
 					delete(pending, cm.Peer)
 					loss += env.Loss
-					c.commS += env.CommS
-					c.waitS += env.WaitS
 				}
 			case ctrlAbort:
 				if err := c.noteAbort(cm.Peer, env); err != nil {
@@ -896,11 +886,9 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 				return fmt.Errorf("train: tensor class %d during snapshot", tm.Class)
 			}
 		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
+			env, err := decodeCtrl(c.t, cm)
 			if err != nil {
-				return fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
+				return err
 			}
 			switch env.Kind {
 			case ctrlSnapAck:
@@ -1244,6 +1232,10 @@ func (w *Worker) Serve(ctx context.Context) error {
 			return nil
 		case ctrlAbort:
 			return fmt.Errorf("train: session aborted by coordinator: %s", env.Err)
+		case ctrlWeightsDone:
+			// The closing frame of a rebuild this rank abandoned when a
+			// manifest peer died before the state arrived; the next
+			// reconfig's flush marker fences off that state's tensors.
 		default:
 			return fmt.Errorf("train: unexpected %q from coordinator", env.Kind)
 		}
@@ -1407,8 +1399,7 @@ func (w *Worker) buildExecutor(man *Manifest, net *nn.Network) (*Executor, error
 		return nil, err
 	}
 	return NewExecutor(p, net, factory, ExecOptions{
-		Policy: schedule.Policy(man.Policy), Recompute: man.Recompute, NoTrace: true,
-		BucketBytes: man.BucketBytes, MonolithicAllReduce: man.MonolithicAR,
+		Policy: schedule.Policy(man.Policy), Recompute: man.Recompute, NoTrace: true, BucketBytes: man.BucketBytes,
 		Dist: &DistConfig{Transport: w.dataTransport(), Rank: w.rank, DeviceRanks: man.DeviceRanks},
 	})
 }
@@ -1614,17 +1605,12 @@ func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 		if out.err != nil {
 			return nil, w.stepFailed(env.Step, out.err)
 		}
-		return nil, sendEnvelope(w.t, coord, envelope{
-			Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss,
-			CommS: sum(out.res.CommSeconds), WaitS: sum(out.res.CommWaitSeconds),
-		})
+		return nil, sendEnvelope(w.t, coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
 	case cm := <-w.t.Ctrl():
 		// The coordinator interrupted the step: a relayed abort, a recovery
 		// reconfig, or something unexpected (equally fatal). Cancel the
 		// local step so its workers unblock from cross-process receives.
-		var e envelope
-		err := json.Unmarshal(cm.Data, &e)
-		w.t.RecycleCtrl(cm.Data)
+		e, err := decodeCtrl(w.t, cm)
 		if err == nil && e.Kind == ctrlReconfig {
 			next = &e
 		} else if err == nil && e.Kind == ctrlAbort {

@@ -140,20 +140,6 @@ func TestDistributedSessionMatchesSingleProcess(t *testing.T) {
 		}
 	}
 
-	// The spanning stage must have picked the cross-process hierarchical
-	// exchange on both ranks; unreplicated stages synchronize nothing.
-	for r, w := range workers {
-		if algo := w.Executor().AllReduceAlgo(1); algo != "hierarchical" {
-			t.Errorf("rank %d stage 1 all-reduce %q, want hierarchical", r, algo)
-		}
-	}
-	if algo := workers[0].Executor().AllReduceAlgo(0); algo != "none" {
-		t.Errorf("rank 0 stage 0 all-reduce %q, want none", algo)
-	}
-	if algo := workers[0].Executor().AllReduceAlgo(2); algo != "" {
-		t.Errorf("rank 0 stage 2 all-reduce %q, want \"\" (not hosted)", algo)
-	}
-
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +152,22 @@ func TestDistributedSessionMatchesSingleProcess(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("worker never shut down")
 		}
+	}
+
+	// The spanning stage must have picked the cross-process hierarchical
+	// exchange on both ranks; unreplicated stages synchronize nothing. The
+	// executors are read only after both Serve calls returned, which orders
+	// these reads after the worker goroutines built them.
+	for r, w := range workers {
+		if algo := w.Executor().AllReduceAlgo(1); algo != "hierarchical" {
+			t.Errorf("rank %d stage 1 all-reduce %q, want hierarchical", r, algo)
+		}
+	}
+	if algo := workers[0].Executor().AllReduceAlgo(0); algo != "none" {
+		t.Errorf("rank 0 stage 0 all-reduce %q, want none", algo)
+	}
+	if algo := workers[0].Executor().AllReduceAlgo(2); algo != "" {
+		t.Errorf("rank 0 stage 2 all-reduce %q, want \"\" (not hosted)", algo)
 	}
 }
 
@@ -265,5 +267,38 @@ func TestHierarchicalSelection(t *testing.T) {
 				t.Fatalf("loss %.12f vs sequential %.12f", res.Loss, wantLoss)
 			}
 		})
+	}
+}
+
+// TestBuildNetRejectsBadManifests feeds BuildNet manifest skeletons that
+// would kill or crash a worker: layers or networks too large to allocate,
+// and dense layers that do not chain (which used to build and then panic
+// in the first forward pass). Each must be an error.
+func TestBuildNetRejectsBadManifests(t *testing.T) {
+	dense := func(in, out int) LayerSpec { return LayerSpec{Kind: "dense", In: in, Out: out} }
+	for _, tc := range []struct {
+		name string
+		spec []LayerSpec
+	}{
+		{"huge-layer", []LayerSpec{dense(1<<20, 1<<20)}},
+		{"overflowing-layer", []LayerSpec{dense(1<<62, 1<<62)}},
+		{"layer-at-limit-with-bias", []LayerSpec{dense(maxNetParams, 1)}},
+		{"huge-total", []LayerSpec{dense(1<<12, 1<<13), {Kind: "relu"}, dense(1<<13, 1<<12)}},
+		{"non-chaining", []LayerSpec{dense(4, 8), {Kind: "relu"}, dense(6, 2)}},
+		{"zero-width", []LayerSpec{dense(4, 0)}},
+		{"unknown-kind", []LayerSpec{{Kind: "conv"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := BuildNet(tc.spec); err == nil {
+				t.Fatal("bad manifest network accepted")
+			}
+		})
+	}
+	net, err := BuildNet([]LayerSpec{dense(4, 8), {Kind: "tanh"}, dense(8, 2)})
+	if err != nil {
+		t.Fatalf("chaining network rejected: %v", err)
+	}
+	if net.NumLayers() != 3 {
+		t.Fatalf("built %d layers, want 3", net.NumLayers())
 	}
 }

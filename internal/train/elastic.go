@@ -142,9 +142,7 @@ func (c *Coordinator) drainJoins() {
 		case j := <-c.t.Joins():
 			c.serviceJoin(j)
 		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
+			env, err := decodeCtrl(c.t, cm)
 			if err != nil {
 				continue
 			}
@@ -239,9 +237,7 @@ func (c *Coordinator) AwaitJoin(ctx context.Context) error {
 		case j := <-c.t.Joins():
 			c.serviceJoin(j)
 		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
+			env, err := decodeCtrl(c.t, cm)
 			if err != nil {
 				continue
 			}

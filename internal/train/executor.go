@@ -83,14 +83,10 @@ type ExecOptions struct {
 	// stages partition their gradient vector into layer-aligned buckets and
 	// launch each bucket's collective as soon as its layers' backward
 	// completes on every local replica, hiding synchronization behind the
-	// remaining backward compute. Results are bit-identical to the
-	// monolithic path for every bucket size.
+	// remaining backward compute. Results are bit-identical for every bucket
+	// size; one at least the stage's gradient bytes yields a single bucket,
+	// reduced by one whole-vector collective at the sync point.
 	BucketBytes int
-
-	// MonolithicAllReduce disables backward-time bucketing, retaining the
-	// single post-backward collective as the oracle path the bucketed
-	// results are pinned against.
-	MonolithicAllReduce bool
 
 	// Dist, when non-nil, runs this executor as one rank of a multi-process
 	// session: only replicas placed on Dist.Rank are hosted and cross-rank
@@ -120,8 +116,8 @@ type ExecResult struct {
 	// WallTime is the wall-clock duration of the step in seconds.
 	WallTime float64
 	// CommSeconds is the per-stage busy time of the gradient collectives
-	// (the time the step's comm driver, or the monolithic last arriver,
-	// spent inside reduce), in seconds of wall clock.
+	// (the time the step's comm driver spent inside reduce), in seconds of
+	// wall clock.
 	CommSeconds []float64
 	// CommWaitSeconds is the per-stage exposed synchronization time: the
 	// max over local replicas of wall clock spent blocked at the step-end
@@ -135,32 +131,6 @@ type ExecResult struct {
 	// "AR.s<i>"), directly comparable to a schedule.Result's spans. Nil when
 	// ExecOptions.NoTrace is set.
 	Trace *sim.Result
-}
-
-// OverlapEfficiency reports the fraction of gradient-collective busy time
-// hidden behind compute this step: 1 - sum(CommWaitSeconds)/sum(CommSeconds),
-// clamped to [0, 1]. Zero when the step ran no collectives (or hid nothing);
-// the exposed wait includes time spent waiting for straggler replicas at the
-// sync point, so a perfectly overlapped but imbalanced stage reads below 1.
-func (r *ExecResult) OverlapEfficiency() float64 {
-	var comm, wait float64
-	for _, c := range r.CommSeconds {
-		comm += c
-	}
-	for _, w := range r.CommWaitSeconds {
-		wait += w
-	}
-	if comm <= 0 {
-		return 0
-	}
-	eff := 1 - wait/comm
-	if eff < 0 {
-		return 0
-	}
-	if eff > 1 {
-		return 1
-	}
-	return eff
 }
 
 // Executor runs a planner core.Plan on a real nn.Network: every device of
@@ -227,7 +197,12 @@ type estage struct {
 	nets   []*nn.Network       // indexed by replica; nil when not hosted
 	opts   []nn.Optimizer
 	work   []*workerState
-	ar     *arGroup // nil when no replica is hosted here
+	// ar synchronizes the replicas' gradients; nil when the stage skips sync
+	// (unreplicated, parameter-free, or no replica hosted here).
+	ar *arGroup
+	// algo is the collective AllReduceAlgo reports: "none" when the stage
+	// skips sync, "" when no replica is hosted here, else ar.algo.
+	algo string
 
 	// Rebuilt by ensureRuntime per (rows, m) geometry.
 	offs     []int         // replica row offsets, len(nets)+1
@@ -246,7 +221,7 @@ type workerState struct {
 	params  []nn.Param
 	gradBuf []float64
 
-	// bwHook, set on bucketed stages, fires per layer during the final
+	// bwHook, set on synchronizing stages, fires per layer during the final
 	// backward pass: it flattens the completed bucket's gradients into
 	// gradBuf and (except for the head bucket, withheld until the sync
 	// point as the all-or-nothing gate) reports them to the all-reduce
@@ -330,96 +305,8 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 			st.work[r] = &workerState{ws: nn.NewWorkspace(), params: net.Params()}
 		}
 		if nlocal > 0 {
-			var size int
-			for r := range st.work {
-				if st.work[r] == nil {
-					continue
-				}
-				for _, pr := range st.work[r].params {
-					size += len(pr.G.Data)
-				}
-				break
-			}
-			if st.repl > 1 {
-				for _, w := range st.work {
-					if w != nil {
-						w.gradBuf = make([]float64, size)
-					}
-				}
-			}
-			// A stage whose replica group spans worker processes exchanges
-			// gradients over the mesh; the member ranks are every rank
-			// hosting one of the stage's devices.
-			var ranks []int
-			if dist != nil && size > 0 {
-				ranks = stageRanks(dist, s.Devices)
-				if len(ranks) < 2 {
-					ranks = nil
-				}
-			}
-			var specs []bucketSpec
-			var hostedNet *nn.Network
-			for r := range st.nets {
-				if st.nets[r] != nil {
-					hostedNet = st.nets[r]
-					break
-				}
-			}
-			if !opts.MonolithicAllReduce && size > 0 && st.repl > 1 {
-				specs = bucketLayout(hostedNet, opts.BucketBytes)
-			}
-			if len(specs) > 0 {
-				// Bucketed backward-time overlap: one barrier and collective
-				// per bucket, no monolithic collective. Cross-process bucket
-				// groups get their own deterministic gid encoding, disjoint
-				// from the monolithic per-stage ids, so every rank hosting
-				// the stage opens the same groups.
-				st.ar = &arGroup{bufs: make([][]float64, nlocal), done: make(chan struct{}), algo: "none"}
-				if ranks != nil {
-					st.ar.algo = "hierarchical"
-				} else if nlocal > 1 {
-					if serverGroups(p.Cluster, localDevs) != nil {
-						st.ar.algo = "hierarchical"
-					} else {
-						st.ar.algo = "ring"
-					}
-				}
-				var openDist func(b, sz int) (transport.Group, error)
-				if ranks != nil {
-					si, ranks := si, ranks
-					openDist = func(b, sz int) (transport.Group, error) {
-						return dist.Transport.OpenGroup(bucketGID(si, b), ranks, sz)
-					}
-				}
-				if err := st.ar.initBuckets(nlocal, p.Cluster, localDevs, len(hostedNet.Layers), specs, openDist); err != nil {
-					return nil, err
-				}
-				for r := range st.nets {
-					if st.work[r] == nil {
-						continue
-					}
-					w, lr, g := st.work[r], st.local[r], st.ar
-					w.bwHook = func(li int) {
-						b := g.layerBucket[li]
-						if b < 0 {
-							return
-						}
-						sp := &g.buckets[b].spec
-						flattenParamGrads(w.gradBuf[sp.Off:sp.End], w.params, sp.PLo, sp.PHi)
-						if b > 0 {
-							g.arriveBucket(lr, b, w.gradBuf[sp.Off:sp.End])
-						}
-					}
-				}
-			} else {
-				var grp transport.Group
-				if ranks != nil {
-					var err error
-					if grp, err = dist.Transport.OpenGroup(si, ranks, size); err != nil {
-						return nil, err
-					}
-				}
-				st.ar = newARGroup(nlocal, size, p.Cluster, localDevs, grp)
+			if err := e.initSync(si, st, localDevs); err != nil {
+				return nil, err
 			}
 		}
 		e.stages = append(e.stages, st)
@@ -440,6 +327,62 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 		}
 	}
 	return e, nil
+}
+
+// initSync arms stage si's gradient synchronization. Every replicated stage
+// with parameters syncs through the bucketed all-reduce; the others skip
+// sync entirely. A stage whose replica group spans worker processes
+// exchanges gradients over the mesh, in groups opened under the same
+// deterministic ids on every member rank.
+func (e *Executor) initSync(si int, st *estage, localDevs []hardware.DeviceID) error {
+	st.algo = "none"
+	if st.repl == 1 {
+		return nil
+	}
+	var hosted *nn.Network
+	for _, net := range st.nets {
+		if net != nil {
+			hosted = net
+			break
+		}
+	}
+	specs := bucketLayout(hosted, e.opts.BucketBytes)
+	if len(specs) == 0 {
+		return nil
+	}
+	size := specs[len(specs)-1].End
+	var openDist func(b, sz int) (transport.Group, error)
+	if dist := e.opts.Dist; dist != nil {
+		if ranks := stageRanks(dist, st.devs); len(ranks) > 1 {
+			openDist = func(b, sz int) (transport.Group, error) {
+				return dist.Transport.OpenGroup(bucketGID(si, b), ranks, sz)
+			}
+		}
+	}
+	g, err := newARGroup(len(localDevs), e.plan.Cluster, localDevs, len(hosted.Layers), specs, openDist)
+	if err != nil {
+		return err
+	}
+	st.ar, st.algo = g, g.algo
+	for r, w := range st.work {
+		if w == nil {
+			continue
+		}
+		w.gradBuf = make([]float64, size)
+		lr := st.local[r]
+		w.bwHook = func(li int) {
+			b := g.layerBucket[li]
+			if b < 0 {
+				return
+			}
+			sp := &g.buckets[b].spec
+			flattenParamGrads(w.gradBuf[sp.Off:sp.End], w.params, sp.PLo, sp.PHi)
+			if b > 0 {
+				g.arriveBucket(lr, b, w.gradBuf[sp.Off:sp.End])
+			}
+		}
+	}
+	return nil
 }
 
 // stageRanks returns the sorted distinct ranks hosting the stage's devices.
@@ -505,12 +448,7 @@ func (e *Executor) HostsReplica(i, r int) bool { return e.stages[i].hosted[r] }
 // for single-server (or one-replica-per-server) groups, "hierarchical" for
 // server-spanning groups with co-located replicas and for groups spanning
 // worker processes. Stages with no locally hosted replica return "".
-func (e *Executor) AllReduceAlgo(i int) string {
-	if e.stages[i].ar == nil {
-		return ""
-	}
-	return e.stages[i].ar.algorithm()
-}
+func (e *Executor) AllReduceAlgo(i int) string { return e.stages[i].algo }
 
 // stepAbort is one step's abort latch. It is allocated per step (not reused)
 // so that a context.AfterFunc callback firing after its step already
@@ -665,7 +603,7 @@ func (e *Executor) Step(micros []Batch) (*ExecResult, error) {
 // StepContext is Step under a context: all worker goroutines unblock and the
 // step returns ctx.Err() once ctx is cancelled or past its deadline. An
 // aborted step applies each stage's weight update all-or-nothing (see
-// arGroup.arrive/abandon), so replicas within a stage stay identical and the
+// arGroup.waitBuckets/abandon), so replicas within a stage stay identical and the
 // executor remains usable; different stages may however land on different
 // iterations (some updated, some not), like any training step torn by
 // cancellation.
@@ -735,7 +673,7 @@ func (e *Executor) StepContext(ctx context.Context, micros []Batch) (*ExecResult
 	wallStart := time.Now()
 	var wg sync.WaitGroup
 	for _, st := range e.stages {
-		if st.ar != nil && st.ar.bucketed() {
+		if st.ar != nil {
 			// The stage's per-step comm driver: runs bucket collectives in
 			// arrival order while replicas keep computing. It always drains
 			// exactly len(buckets) buckets (abandon resolves the buckets of
@@ -896,7 +834,9 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 	w := st.work[r]
 	loss, err := e.workerCompute(ss, i, r)
 	if err != nil {
-		st.ar.abandon(st.local[r])
+		if st.ar != nil {
+			st.ar.abandon(st.local[r])
+		}
 		return err
 	}
 
@@ -906,14 +846,13 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 	// replica. The sync decides commit-or-abort atomically for the whole
 	// stage, so an aborted step can never leave local replicas divergent.
 	start := e.now()
-	t0 := time.Now()
-	if st.ar.bucketed() {
+	if g := st.ar; g != nil {
 		// Buckets 1.. were reported layer by layer during the final backward
 		// and their collectives have been overlapping compute; contribute the
 		// withheld head bucket — the all-clear that this replica finished the
 		// whole compute phase — and wait out whatever communication is still
 		// exposed.
-		g := st.ar
+		t0 := time.Now()
 		hb := &g.buckets[0]
 		g.arriveBucket(st.local[r], 0, w.gradBuf[hb.spec.Off:hb.spec.End])
 		commit := g.waitBuckets()
@@ -922,18 +861,6 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 			return errAborted
 		}
 		setGradVector(w.params, w.gradBuf)
-	} else {
-		if st.repl > 1 {
-			gradVectorInto(w.gradBuf, w.params)
-		}
-		ok := st.ar.arrive(st.local[r], w.gradBuf, ss.abort)
-		w.commWait = time.Since(t0).Nanoseconds()
-		if !ok {
-			return errAborted
-		}
-		if st.repl > 1 {
-			setGradVector(w.params, w.gradBuf)
-		}
 	}
 	scaleGrads(w.params, 1/float64(ss.m))
 	st.opts[r].Step(w.params)
@@ -1142,22 +1069,8 @@ func spanSequence(r *sim.Result, res int) []string {
 	return out
 }
 
-// gradVectorInto flattens the parameters' gradients into buf, which must
-// have exactly the total gradient length.
-func gradVectorInto(buf []float64, params []nn.Param) {
-	at := 0
-	for _, p := range params {
-		copy(buf[at:], p.G.Data)
-		at += len(p.G.Data)
-	}
-	if at != len(buf) {
-		panic("train: gradient buffer length mismatch")
-	}
-}
-
 // flattenParamGrads flattens the gradients of params[pLo:pHi] into dst,
-// which must have exactly their total length — the per-bucket slice of
-// gradVectorInto.
+// which must have exactly their total length.
 func flattenParamGrads(dst []float64, params []nn.Param, pLo, pHi int) {
 	at := 0
 	for _, p := range params[pLo:pHi] {
@@ -1170,7 +1083,6 @@ func flattenParamGrads(dst []float64, params []nn.Param, pLo, pHi int) {
 }
 
 // bucketGID deterministically encodes the transport group id of stage si's
-// bucket b, disjoint from the monolithic per-stage ids (gid = si) so every
-// rank hosting the stage opens the same groups. Stage counts are far below
+// bucket b, so every rank hosting the stage opens the same groups. Stage counts are far below
 // 1024 and bucket counts are capped at maxBuckets.
 func bucketGID(si, b int) int { return (si+1)*1024 + b }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,8 +19,7 @@ import (
 // TestBucketChunkWorkerMatrixMatchesOracle pins the determinism foundation
 // of communication overlap: reducing a gradient vector bucket by bucket,
 // with any pipeline chunk count and any kernel worker count, produces a
-// result bit-identical to the retained monolithic RingAllReduce oracle on
-// the whole vector. The canonical rank-order accumulation makes every
+// result bit-identical to one whole-vector ring all-reduce. The canonical rank-order accumulation makes every
 // sub-range sum a pure function of the inputs, so bucket boundaries cannot
 // perturb training results.
 func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
@@ -27,7 +27,6 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		prev := tensor.SetWorkers(workers)
 		for _, size := range []int{33, 1024, 5000} {
-			rng := rand.New(rand.NewSource(int64(workers*10000 + size)))
 			mk := func() [][]float64 {
 				r := rand.New(rand.NewSource(int64(size)))
 				bufs := make([][]float64, n)
@@ -39,9 +38,8 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 				}
 				return bufs
 			}
-			_ = rng
 			oracle := mk()
-			RingAllReduce(oracle) // the monolithic whole-vector oracle
+			transport.NewRing(n, size).AllReduce(oracle) // the whole-vector oracle
 			for _, chunks := range []int{1, 3, 8} {
 				for _, bucketElems := range []int{7, 64, 1024, size} {
 					bufs := mk()
@@ -73,30 +71,45 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 
 // TestBucketedExecutorMatchesMonolithic is the executor-level property test:
 // a step with backward-time bucketed gradient sync (any bucket size) leaves
-// every stage replica's parameters bit-identical to the same step under the
-// retained monolithic all-reduce, across kernel worker counts.
+// every stage replica's parameters bit-identical to the same step with a
+// single bucket — the head bucket alone, withheld to the sync point and
+// reduced by one whole-vector collective — across kernel worker counts, and
+// within 1e-9 of sequential training.
 func TestBucketedExecutorMatchesMonolithic(t *testing.T) {
+	const steps = 3
+	master := nn.MLP([]int{6, 12, 10, 3}, 2024)
+	micros := makeMicros(6, 6, 6, 3, 11)
+	seq := master.Clone()
+	var seqLoss [steps]float64
+	for step := range seqLoss {
+		l, err := SequentialStep(seq, micros, nn.SGD{LR: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqLoss[step] = l
+	}
 	for _, workers := range []int{1, 2, 8} {
 		prev := tensor.SetWorkers(workers)
 		// BucketBytes 1 forces the max bucket count; 1<<30 forces a single
 		// bucket; the middle values cut mid-network.
 		for _, bb := range []int{1, 2 << 10, 16 << 10, 1 << 30} {
 			t.Run(fmt.Sprintf("workers=%d/bucketBytes=%d", workers, bb), func(t *testing.T) {
-				master := nn.MLP([]int{6, 12, 10, 3}, 2024)
 				p := mkPlan(t, master, 6, 6, 6, []int{3, 5}, []int{2, 2})
-				micros := makeMicros(6, 6, 6, 3, 11)
-				mono := master.Clone()
-				exB, err := NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.05} },
-					ExecOptions{Policy: schedule.DapplePA, BucketBytes: bb})
-				if err != nil {
-					t.Fatal(err)
+				mk := func(bucketBytes int) *Executor {
+					ex, err := NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.05} },
+						ExecOptions{Policy: schedule.DapplePA, BucketBytes: bucketBytes})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ex
 				}
-				exM, err := NewExecutor(p, mono, func() nn.Optimizer { return nn.SGD{LR: 0.05} },
-					ExecOptions{Policy: schedule.DapplePA, MonolithicAllReduce: true})
-				if err != nil {
-					t.Fatal(err)
+				exB, exM := mk(bb), mk(1<<30)
+				for si := range p.Stages {
+					if n := len(exM.stages[si].ar.buckets); n != 1 {
+						t.Fatalf("stage %d: %d buckets at BucketBytes 1<<30, want 1", si, n)
+					}
 				}
-				for step := 0; step < 3; step++ {
+				for step := 0; step < steps; step++ {
 					rb, err := exB.Step(micros)
 					if err != nil {
 						t.Fatal(err)
@@ -106,16 +119,29 @@ func TestBucketedExecutorMatchesMonolithic(t *testing.T) {
 						t.Fatal(err)
 					}
 					if rb.Loss != rm.Loss {
-						t.Fatalf("step %d: bucketed loss %g != monolithic %g", step, rb.Loss, rm.Loss)
+						t.Fatalf("step %d: bucketed loss %g != single-bucket %g", step, rb.Loss, rm.Loss)
+					}
+					if d := math.Abs(rb.Loss - seqLoss[step]); d > 1e-9 {
+						t.Fatalf("step %d: loss %g vs sequential %g", step, rb.Loss, seqLoss[step])
 					}
 					for si, s := range p.Stages {
 						for r := 0; r < s.Replicas(); r++ {
 							got, want := exB.StageParams(si, r), exM.StageParams(si, r)
 							for i := range got {
 								if d := tensor.MaxAbsDiff(got[i].W, want[i].W); d != 0 {
-									t.Fatalf("step %d stage %d replica %d param %d: bucketed differs from monolithic by %g",
+									t.Fatalf("step %d stage %d replica %d param %d: bucketed differs from single-bucket by %g",
 										step, si, r, i, d)
 								}
+							}
+						}
+					}
+				}
+				for si, s := range p.Stages {
+					want := seq.Slice(s.Lo, s.Hi).Params()
+					for r := 0; r < s.Replicas(); r++ {
+						for i, pr := range exB.StageParams(si, r) {
+							if d := tensor.MaxAbsDiff(pr.W, want[i].W); d > 1e-9 {
+								t.Fatalf("stage %d replica %d param %d: %g from sequential after %d steps", si, r, i, d, steps)
 							}
 						}
 					}

@@ -4,9 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dapple/internal/nn"
+	"dapple/internal/schedule"
 	"dapple/internal/tensor"
 )
 
@@ -26,315 +26,59 @@ func makeMicros(m, rows, in, classes int, seed int64) []Batch {
 	return out
 }
 
-func TestRingAllReduceSums(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 7} {
-		for _, size := range []int{1, 5, 16, 31} {
-			bufs := make([][]float64, n)
-			want := make([]float64, size)
-			for i := range bufs {
-				bufs[i] = make([]float64, size)
-				for j := range bufs[i] {
-					bufs[i][j] = float64(i*1000 + j)
-					want[j] += bufs[i][j]
-				}
-			}
-			RingAllReduce(bufs)
-			for i := range bufs {
-				for j := range bufs[i] {
-					if math.Abs(bufs[i][j]-want[j]) > 1e-9 {
-						t.Fatalf("n=%d size=%d rank %d[%d]: %g want %g",
-							n, size, i, j, bufs[i][j], want[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRingAllReduceSingle(t *testing.T) {
-	b := [][]float64{{1, 2, 3}}
-	RingAllReduce(b)
-	if b[0][0] != 1 || b[0][2] != 3 {
-		t.Fatal("single participant must be identity")
-	}
-}
-
-// Property: ring all-reduce equals a serial sum for random shapes.
-func TestRingAllReduceProperty(t *testing.T) {
-	f := func(n8, size8 uint8, seed int64) bool {
-		n := int(n8%6) + 2
-		size := int(size8%64) + 1
-		rng := rand.New(rand.NewSource(seed))
-		bufs := make([][]float64, n)
-		want := make([]float64, size)
-		for i := range bufs {
-			bufs[i] = make([]float64, size)
-			for j := range bufs[i] {
-				bufs[i][j] = rng.NormFloat64()
-				want[j] += bufs[i][j]
-			}
-		}
-		RingAllReduce(bufs)
-		for i := range bufs {
-			for j := range bufs[i] {
-				if math.Abs(bufs[i][j]-want[j]) > 1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDataParallelMatchesSequential is the DP half of the paper's convergence
-// claim: data-parallel training with ring all-reduce produces the same
-// parameters as sequential gradient accumulation.
-func TestDataParallelMatchesSequential(t *testing.T) {
-	master := nn.MLP([]int{6, 10, 8, 3}, 42)
-	micros := makeMicros(8, 4, 6, 3, 7)
-
-	seq := master.Clone()
-	seqLoss, err := SequentialStep(seq, micros, nn.SGD{LR: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dp := NewDataParallel(master, 4, func() nn.Optimizer { return nn.SGD{LR: 0.1} })
-	dpLoss, err := dp.Step(micros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(seqLoss-dpLoss) > 1e-9 {
-		t.Fatalf("loss: sequential %g vs DP %g", seqLoss, dpLoss)
-	}
-	if d := dp.MaxParamDivergence(); d > 0 {
-		t.Fatalf("replicas diverged by %g", d)
-	}
-	seqP := seq.Params()
-	dpP := dp.Replicas[0].Params()
-	for i := range seqP {
-		if d := tensor.MaxAbsDiff(seqP[i].W, dpP[i].W); d > 1e-9 {
-			t.Fatalf("param %d differs by %g", i, d)
-		}
-	}
-}
-
-// TestPipelineMatchesSequential is the core equivalence result (§VI-A "all
-// pipeline latency optimizations give equivalent gradients"): DAPPLE and
-// GPipe schedules, with and without re-computation and stage replication,
-// reproduce sequential training exactly (up to float summation order).
+// TestPipelineMatchesSequential trains the classic pipeline layouts — GPipe
+// and DAPPLE, with and without re-computation and stage replication — for
+// several steps with a stateful optimizer: every replica's Adam state must
+// track the single-device run, so losses and weights stay within 1e-9 of
+// sequential training step after step, not only after the first.
 func TestPipelineMatchesSequential(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  PipelineConfig
+		name       string
+		cuts, reps []int
+		opts       ExecOptions
 	}{
-		{"dapple-2stage", PipelineConfig{Cuts: []int{3, 5}, Policy: DappleSchedule}},
-		{"dapple-3stage", PipelineConfig{Cuts: []int{2, 4, 5}, Policy: DappleSchedule}},
-		{"gpipe-2stage", PipelineConfig{Cuts: []int{3, 5}, Policy: GPipeSchedule}},
-		{"dapple-recompute", PipelineConfig{Cuts: []int{3, 5}, Policy: DappleSchedule, Recompute: true}},
-		{"gpipe-recompute", PipelineConfig{Cuts: []int{2, 5}, Policy: GPipeSchedule, Recompute: true}},
-		{"dapple-replicated", PipelineConfig{Cuts: []int{3, 5}, Replicas: []int{2, 1}, Policy: DappleSchedule}},
-		{"dapple-hybrid", PipelineConfig{Cuts: []int{3, 5}, Replicas: []int{2, 3}, Policy: DappleSchedule, Recompute: true}},
+		{"dapple-2stage", []int{3, 5}, []int{1, 1}, ExecOptions{Policy: schedule.DapplePA}},
+		{"dapple-3stage", []int{2, 4, 5}, []int{1, 1, 1}, ExecOptions{Policy: schedule.DapplePA}},
+		{"gpipe-2stage", []int{3, 5}, []int{1, 1}, ExecOptions{Policy: schedule.GPipe}},
+		{"dapple-recompute", []int{3, 5}, []int{1, 1}, ExecOptions{Policy: schedule.DapplePA, Recompute: true}},
+		{"gpipe-recompute", []int{2, 5}, []int{1, 1}, ExecOptions{Policy: schedule.GPipe, Recompute: true}},
+		{"dapple-replicated", []int{3, 5}, []int{2, 1}, ExecOptions{Policy: schedule.DapplePA}},
+		{"dapple-hybrid", []int{3, 5}, []int{2, 3}, ExecOptions{Policy: schedule.DapplePA, Recompute: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			master := nn.MLP([]int{6, 12, 10, 3}, 2024) // 5 layers: D,R,D,R,D
 			micros := makeMicros(6, 6, 6, 3, 11)
-
-			seq := master.Clone()
-			seqLoss, err := SequentialStep(seq, micros, nn.SGD{LR: 0.05})
+			p := mkPlan(t, master, 6, 6, 6, tc.cuts, tc.reps)
+			ex, err := NewExecutor(p, master, func() nn.Optimizer { return nn.NewAdam(1e-2) }, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			pipe, err := NewPipeline(master, tc.cfg, func() nn.Optimizer { return nn.SGD{LR: 0.05} })
-			if err != nil {
-				t.Fatal(err)
+			seq, seqOpt := master.Clone(), nn.NewAdam(1e-2)
+			for step := 0; step < 3; step++ {
+				want, err := SequentialStep(seq, micros, seqOpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ex.Step(micros)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(res.Loss-want) > 1e-9 {
+					t.Fatalf("step %d loss: sequential %g vs executed %g", step, want, res.Loss)
+				}
 			}
-			stats, err := pipe.Step(micros)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(stats.Loss-seqLoss) > 1e-9 {
-				t.Fatalf("loss: sequential %g vs pipeline %g", seqLoss, stats.Loss)
-			}
-
-			// Compare every stage's parameters against the matching
-			// sequential layer slice.
-			lo := 0
-			for si, hi := range pipe.cfg.Cuts {
-				want := seq.Slice(lo, hi).Params()
-				for r := 0; r < max(1, pipe.cfg.Replicas[si]); r++ {
-					got := pipe.StageParams(si, r)
-					if len(got) != len(want) {
-						t.Fatalf("stage %d param count %d vs %d", si, len(got), len(want))
-					}
-					for i := range got {
-						if d := tensor.MaxAbsDiff(got[i].W, want[i].W); d > 1e-9 {
+			for si, s := range p.Stages {
+				want := seq.Slice(s.Lo, s.Hi).Params()
+				for r := 0; r < s.Replicas(); r++ {
+					for i, pr := range ex.StageParams(si, r) {
+						if d := tensor.MaxAbsDiff(pr.W, want[i].W); d > 1e-9 {
 							t.Fatalf("stage %d replica %d param %d differs by %g", si, r, i, d)
 						}
 					}
 				}
-				lo = hi
 			}
 		})
-	}
-}
-
-// TestPipelineMemoryBound verifies the Fig. 3(c) claim in real execution:
-// GPipe stashes all M micro-batches on the first stage while DAPPLE's peak
-// stays at its warmup depth K_0 = S.
-func TestPipelineMemoryBound(t *testing.T) {
-	master := nn.MLP([]int{4, 8, 8, 2}, 3)
-	micros := makeMicros(12, 4, 4, 2, 5)
-
-	gp, err := NewPipeline(master, PipelineConfig{Cuts: []int{3, 5}, Policy: GPipeSchedule},
-		func() nn.Optimizer { return nn.SGD{LR: 0.1} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := gp.Step(micros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.MaxStash[0] != len(micros) {
-		t.Fatalf("GPipe stage0 stash %d, want %d", gs.MaxStash[0], len(micros))
-	}
-
-	dp, err := NewPipeline(master, PipelineConfig{Cuts: []int{3, 5}, Policy: DappleSchedule},
-		func() nn.Optimizer { return nn.SGD{LR: 0.1} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dp.Step(micros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.MaxStash[0] > 2 { // K_0 = S - 0 = 2
-		t.Fatalf("DAPPLE stage0 stash %d, want <= 2", ds.MaxStash[0])
-	}
-	if ds.MaxStashBytes[0] >= gs.MaxStashBytes[0] {
-		t.Fatalf("DAPPLE stash bytes %d not below GPipe %d", ds.MaxStashBytes[0], gs.MaxStashBytes[0])
-	}
-	// Equivalence despite different schedules.
-	if math.Abs(gs.Loss-ds.Loss) > 1e-9 {
-		t.Fatalf("losses differ: %g vs %g", gs.Loss, ds.Loss)
-	}
-}
-
-// TestPipelineConvergence trains a pipeline end to end on separable data.
-func TestPipelineConvergence(t *testing.T) {
-	master := nn.MLP([]int{2, 16, 2}, 17)
-	pipe, err := NewPipeline(master, PipelineConfig{Cuts: []int{2, 3}, Policy: DappleSchedule},
-		func() nn.Optimizer { return nn.NewAdam(5e-3) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31))
-	micros := make([]Batch, 4)
-	for i := range micros {
-		x := tensor.New(16, 2)
-		y := make([]int, 16)
-		for j := 0; j < 16; j++ {
-			a, b := rng.Float64()*2-1, rng.Float64()*2-1
-			x.Set(j, 0, a)
-			x.Set(j, 1, b)
-			if a*b > 0 {
-				y[j] = 1
-			}
-		}
-		micros[i] = Batch{X: x, Y: y}
-	}
-	var first, last float64
-	for it := 0; it < 100; it++ {
-		st, err := pipe.Step(micros)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if it == 0 {
-			first = st.Loss
-		}
-		last = st.Loss
-	}
-	if last > first/2 {
-		t.Fatalf("pipeline training barely learned: %g -> %g", first, last)
-	}
-}
-
-// Property: pipeline equivalence holds across random cut points and
-// micro-batch counts.
-func TestPipelineEquivalenceProperty(t *testing.T) {
-	f := func(seed int64, cut8, m8 uint8) bool {
-		cut := int(cut8%4) + 1 // 1..4 of 5 layers
-		m := int(m8%6) + 2     // 2..7 micro-batches
-		master := nn.MLP([]int{5, 9, 7, 3}, seed)
-		micros := makeMicros(m, 5, 5, 3, seed+1)
-
-		seq := master.Clone()
-		if _, err := AccumulateGrads(seq, micros); err != nil {
-			return false
-		}
-
-		pipe, err := NewPipeline(master, PipelineConfig{Cuts: []int{cut, 5}, Policy: DappleSchedule},
-			func() nn.Optimizer { return nn.SGD{LR: 0} })
-		if err != nil {
-			return false
-		}
-		if _, err := pipe.Step(micros); err != nil {
-			return false
-		}
-		// With LR 0 the optimizer zeroes grads but leaves params; compare
-		// parameters unchanged vs the master (sanity) and losses via a
-		// fresh accumulation; simpler: compare stage params against seq
-		// post-step with LR 0 — both unchanged, so compare grads instead
-		// by re-running with a real LR.
-		seq2 := master.Clone()
-		if _, err := SequentialStep(seq2, micros, nn.SGD{LR: 0.1}); err != nil {
-			return false
-		}
-		pipe2, err := NewPipeline(master, PipelineConfig{Cuts: []int{cut, 5}, Policy: DappleSchedule},
-			func() nn.Optimizer { return nn.SGD{LR: 0.1} })
-		if err != nil {
-			return false
-		}
-		if _, err := pipe2.Step(micros); err != nil {
-			return false
-		}
-		lo := 0
-		for si, hi := range []int{cut, 5} {
-			want := seq2.Slice(lo, hi).Params()
-			got := pipe2.StageParams(si, 0)
-			for i := range got {
-				if tensor.MaxAbsDiff(got[i].W, want[i].W) > 1e-9 {
-					return false
-				}
-			}
-			lo = hi
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPipelineConfigValidation(t *testing.T) {
-	master := nn.MLP([]int{2, 2, 2}, 1)
-	optf := func() nn.Optimizer { return nn.SGD{LR: 0.1} }
-	if _, err := NewPipeline(master, PipelineConfig{}, optf); err == nil {
-		t.Fatal("expected error: no stages")
-	}
-	if _, err := NewPipeline(master, PipelineConfig{Cuts: []int{2}}, optf); err == nil {
-		t.Fatal("expected error: cuts do not cover network")
-	}
-	if _, err := NewPipeline(master, PipelineConfig{Cuts: []int{1, 3}, Replicas: []int{1}}, optf); err == nil {
-		t.Fatal("expected error: replica length mismatch")
-	}
-	if _, err := NewPipeline(master, PipelineConfig{Cuts: []int{1, 3}, Replicas: []int{0, 1}}, optf); err == nil {
-		t.Fatal("expected error: zero replicas")
 	}
 }
 

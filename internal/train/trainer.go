@@ -51,44 +51,10 @@ func SequentialStep(net *nn.Network, micros []Batch, opt nn.Optimizer) (float64,
 	return loss / float64(len(micros)), nil
 }
 
-// AccumulateGrads runs forward+backward over the micro-batches without
-// applying an update, leaving the micro-batch-averaged gradients in the
-// network — the probe used by gradient-equivalence tests.
-func AccumulateGrads(net *nn.Network, micros []Batch) (float64, error) {
-	if len(micros) == 0 {
-		return 0, fmt.Errorf("train: no micro-batches")
-	}
-	var loss float64
-	for _, b := range micros {
-		if err := b.Validate(); err != nil {
-			return 0, err
-		}
-		out, ctxs := net.Forward(b.X)
-		l, dy := nn.SoftmaxCrossEntropy(out, b.Y)
-		loss += l
-		net.Backward(ctxs, dy)
-	}
-	scaleGrads(net.Params(), 1/float64(len(micros)))
-	return loss / float64(len(micros)), nil
-}
-
 func scaleGrads(params []nn.Param, s float64) {
 	for _, p := range params {
 		p.G.Scale(s)
 	}
-}
-
-// GradVector flattens the parameters' gradients into one vector.
-func GradVector(params []nn.Param) []float64 {
-	var n int
-	for _, p := range params {
-		n += len(p.G.Data)
-	}
-	out := make([]float64, 0, n)
-	for _, p := range params {
-		out = append(out, p.G.Data...)
-	}
-	return out
 }
 
 // setGradVector scatters a flat vector back into the gradient tensors.
@@ -98,104 +64,4 @@ func setGradVector(params []nn.Param, v []float64) {
 		copy(p.G.Data, v[at:at+len(p.G.Data)])
 		at += len(p.G.Data)
 	}
-}
-
-// DataParallel trains replicas of one network across worker goroutines with a
-// real ring all-reduce, mirroring the paper's DP baseline.
-type DataParallel struct {
-	Replicas []*nn.Network
-	opts     []nn.Optimizer
-}
-
-// NewDataParallel clones master across n workers. optFactory builds one
-// optimizer per replica (identical hyperparameters keep replicas in
-// lockstep).
-func NewDataParallel(master *nn.Network, n int, optFactory func() nn.Optimizer) *DataParallel {
-	if n < 1 {
-		panic("train: data parallel needs at least one replica")
-	}
-	dp := &DataParallel{}
-	for i := 0; i < n; i++ {
-		dp.Replicas = append(dp.Replicas, master.Clone())
-		dp.opts = append(dp.opts, optFactory())
-	}
-	return dp
-}
-
-// Step shards the micro-batches round-robin across replicas, accumulates
-// local gradients concurrently, ring-all-reduces, averages by the global
-// micro-batch count, and applies identical updates on every replica. It
-// returns the mean loss.
-func (dp *DataParallel) Step(micros []Batch) (float64, error) {
-	n := len(dp.Replicas)
-	if len(micros) == 0 {
-		return 0, fmt.Errorf("train: no micro-batches")
-	}
-	type res struct {
-		loss float64
-		err  error
-	}
-	results := make([]res, n)
-	done := make(chan int, n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
-			net := dp.Replicas[w]
-			var loss float64
-			for m := w; m < len(micros); m += n {
-				b := micros[m]
-				if err := b.Validate(); err != nil {
-					results[w] = res{err: err}
-					done <- w
-					return
-				}
-				out, ctxs := net.Forward(b.X)
-				l, dy := nn.SoftmaxCrossEntropy(out, b.Y)
-				loss += l
-				net.Backward(ctxs, dy)
-			}
-			results[w] = res{loss: loss}
-			done <- w
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	var loss float64
-	for _, r := range results {
-		if r.err != nil {
-			return 0, r.err
-		}
-		loss += r.loss
-	}
-
-	bufs := make([][]float64, n)
-	for w, net := range dp.Replicas {
-		bufs[w] = GradVector(net.Params())
-	}
-	RingAllReduce(bufs)
-	inv := 1 / float64(len(micros))
-	for w, net := range dp.Replicas {
-		for i := range bufs[w] {
-			bufs[w][i] *= inv
-		}
-		setGradVector(net.Params(), bufs[w])
-		dp.opts[w].Step(net.Params())
-	}
-	return loss / float64(len(micros)), nil
-}
-
-// MaxParamDivergence returns the largest parameter difference between any
-// replica and replica 0 — zero when replicas remain in lockstep.
-func (dp *DataParallel) MaxParamDivergence() float64 {
-	base := dp.Replicas[0].Params()
-	var worst float64
-	for _, rep := range dp.Replicas[1:] {
-		ps := rep.Params()
-		for i, p := range ps {
-			if d := tensor.MaxAbsDiff(base[i].W, p.W); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
