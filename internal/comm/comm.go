@@ -43,46 +43,53 @@ const splitConcatOverhead = 20e-6 // seconds
 // analysis is about — so the exchange is bounded by the busiest NIC
 // direction; intra-server slices ride NVLink. Split/concat node overhead
 // applies when replication degrees differ (§V-B2).
+//
+// Every per-NIC sum accumulates in ascending server order, so the result is
+// a pure function of the inputs, bit for bit. The call does not allocate on
+// clusters of at most 64 servers.
 func CrossStageTime(c hardware.Cluster, src, dst []hardware.DeviceID, bytes int64) float64 {
 	if bytes <= 0 || len(src) == 0 || len(dst) == 0 {
 		return 0
 	}
-	srcCnt := map[int]int{}
-	dstCnt := map[int]int{}
-	for _, d := range src {
-		srcCnt[c.Server(d)]++
-	}
-	for _, d := range dst {
-		dstCnt[c.Server(d)]++
-	}
-	out := map[int]float64{}
-	in := map[int]float64{}
-	intra := map[int]float64{}
-	for x, sx := range srcCnt {
-		fx := float64(sx) / float64(len(src))
-		for y, dy := range dstCnt {
-			v := float64(bytes) * fx * float64(dy) / float64(len(dst))
-			if x == y {
-				intra[x] += v
-			} else {
-				out[x] += v
-				in[y] += v
-			}
-		}
+	var cntBuf [stackServers]int
+	var srcBuf, dstBuf [stackServers]serverCount
+	cnt := serverScratch(c, cntBuf[:])
+	srcs := countServers(c, src, cnt, srcBuf[:0])
+	dsts := countServers(c, dst, cnt, dstBuf[:0])
+	share := func(x, y serverCount) float64 {
+		fx := float64(x.n) / float64(len(src))
+		return float64(bytes) * fx * float64(y.n) / float64(len(dst))
 	}
 	var t float64
-	for _, v := range out {
-		if tt := v/c.InterBW + c.InterLatency; tt > t {
+	// Intra-server slices and each source server's outbound NIC.
+	for _, x := range srcs {
+		var out float64
+		cross := false
+		for _, y := range dsts {
+			if x.srv == y.srv {
+				if tt := share(x, y)/c.IntraBW + c.IntraLatency; tt > t {
+					t = tt
+				}
+				continue
+			}
+			out += share(x, y)
+			cross = true
+		}
+		if tt := out/c.InterBW + c.InterLatency; cross && tt > t {
 			t = tt
 		}
 	}
-	for _, v := range in {
-		if tt := v/c.InterBW + c.InterLatency; tt > t {
-			t = tt
+	// Each destination server's inbound NIC.
+	for _, y := range dsts {
+		var in float64
+		cross := false
+		for _, x := range srcs {
+			if x.srv != y.srv {
+				in += share(x, y)
+				cross = true
+			}
 		}
-	}
-	for _, v := range intra {
-		if tt := v/c.IntraBW + c.IntraLatency; tt > t {
+		if tt := in/c.InterBW + c.InterLatency; cross && tt > t {
 			t = tt
 		}
 	}
@@ -96,7 +103,8 @@ func CrossStageTime(c hardware.Cluster, src, dst []hardware.DeviceID, bytes int6
 // over the device group, using the classic 2(n-1)/n volume factor. Groups
 // spanning servers run hierarchically: intra-server reduce, inter-server ring
 // over one representative per server, intra-server broadcast — the same
-// structure NCCL uses on the paper's hierarchical configuration A.
+// structure NCCL uses on the paper's hierarchical configuration A. The call
+// does not allocate on clusters of at most 64 servers.
 func AllReduceTime(c hardware.Cluster, devs []hardware.DeviceID, bytes int64) float64 {
 	n := len(devs)
 	if n <= 1 || bytes <= 0 {
@@ -105,15 +113,13 @@ func AllReduceTime(c hardware.Cluster, devs []hardware.DeviceID, bytes int64) fl
 	if !c.SpansServers(devs) {
 		return ringTime(n, bytes, c.IntraBW, c.IntraLatency)
 	}
-	servers := c.ServersUsed(devs)
-	perServer := map[int]int{}
-	for _, d := range devs {
-		perServer[c.Server(d)]++
-	}
+	var cntBuf [stackServers]int
+	var srvBuf [stackServers]serverCount
+	servers := countServers(c, devs, serverScratch(c, cntBuf[:]), srvBuf[:0])
 	maxLocal := 0
-	for _, k := range perServer {
-		if k > maxLocal {
-			maxLocal = k
+	for _, s := range servers {
+		if s.n > maxLocal {
+			maxLocal = s.n
 		}
 	}
 	var t float64
@@ -125,6 +131,39 @@ func AllReduceTime(c hardware.Cluster, devs []hardware.DeviceID, bytes int64) fl
 		t += ringTime(len(servers), bytes, c.InterBW, c.InterLatency)
 	}
 	return t
+}
+
+// stackServers is the largest cluster whose per-server tallies live in
+// fixed-size stack arrays; larger clusters tally in heap slices.
+const stackServers = 64
+
+// serverCount is one server hosting devices of a group, with the number of
+// the group's devices it hosts.
+type serverCount struct{ srv, n int }
+
+// serverScratch returns a zeroed per-server tally for c: buf when it is
+// large enough, otherwise a fresh slice.
+func serverScratch(c hardware.Cluster, buf []int) []int {
+	if c.Servers > len(buf) {
+		return make([]int, c.Servers)
+	}
+	return buf[:c.Servers]
+}
+
+// countServers appends to dst, in ascending server order, every server
+// hosting devices of devs together with its device count. cnt is a zeroed
+// per-server tally, and countServers leaves it zeroed.
+func countServers(c hardware.Cluster, devs []hardware.DeviceID, cnt []int, dst []serverCount) []serverCount {
+	for _, d := range devs {
+		cnt[c.Server(d)]++
+	}
+	for s, k := range cnt {
+		if k > 0 {
+			dst = append(dst, serverCount{s, k})
+			cnt[s] = 0
+		}
+	}
+	return dst
 }
 
 // ringTime is the standard ring all-reduce cost: each of n participants sends

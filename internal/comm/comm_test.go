@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +155,45 @@ func TestARSecPerByte(t *testing.T) {
 	approx := spb * float64(int64(1)<<30)
 	if math.Abs(direct-approx)/direct > 0.05 {
 		t.Fatalf("per-byte rate drifts: direct %g vs approx %g", direct, approx)
+	}
+}
+
+// CrossStageTime sums several per-NIC shares on clusters with more than two
+// multi-GPU servers; the sums must accumulate in a fixed order, so every
+// call on the same input returns the same bits. The first input is a
+// recorded case that an iteration-order-dependent sum rounds two ways.
+func TestCrossStageTimeDeterministic(t *testing.T) {
+	c := hardware.ConfigA(4)
+	type input struct {
+		src, dst []hardware.DeviceID
+		bytes    int64
+	}
+	inputs := []input{{
+		src:   []hardware.DeviceID{9, 1, 21},
+		dst:   []hardware.DeviceID{23, 13, 3, 30, 16, 6, 5, 27, 22, 26, 11, 18, 19, 2, 12},
+		bytes: 107991603,
+	}}
+	rng := rand.New(rand.NewSource(13))
+	for len(inputs) < 40 {
+		perm := rng.Perm(c.NumDevices())
+		ns := 1 + rng.Intn(c.NumDevices()-1)
+		nd := 1 + rng.Intn(c.NumDevices()-ns)
+		in := input{bytes: 1 + rng.Int63n(1<<30)}
+		for _, d := range perm[:ns] {
+			in.src = append(in.src, hardware.DeviceID(d))
+		}
+		for _, d := range perm[ns : ns+nd] {
+			in.dst = append(in.dst, hardware.DeviceID(d))
+		}
+		inputs = append(inputs, in)
+	}
+	for i, in := range inputs {
+		want := math.Float64bits(CrossStageTime(c, in.src, in.dst, in.bytes))
+		for k := 0; k < 200; k++ {
+			if got := math.Float64bits(CrossStageTime(c, in.src, in.dst, in.bytes)); got != want {
+				t.Fatalf("input %d (src %v, dst %v, %d bytes): call %d returned %#x, first call %#x",
+					i, in.src, in.dst, in.bytes, k, got, want)
+			}
+		}
 	}
 }

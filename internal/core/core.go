@@ -132,7 +132,12 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("core: plan has no stages")
 	}
 	want := 0
-	used := map[hardware.DeviceID]bool{}
+	n := p.Cluster.NumDevices()
+	var stack [4]uint64 // device bitset, allocation-free up to 256 devices
+	used := stack[:]
+	if words := (n + 63) / 64; words > len(stack) {
+		used = make([]uint64, words)
+	}
 	for i, s := range p.Stages {
 		if s.Lo != want {
 			return fmt.Errorf("core: stage %d starts at layer %d, want %d", i, s.Lo, want)
@@ -144,13 +149,14 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("core: stage %d has no devices", i)
 		}
 		for _, d := range s.Devices {
-			if used[d] {
-				return fmt.Errorf("core: device %d assigned twice", d)
-			}
-			if int(d) >= p.Cluster.NumDevices() || d < 0 {
+			if int(d) >= n || d < 0 {
 				return fmt.Errorf("core: device %d out of range", d)
 			}
-			used[d] = true
+			word, bit := d/64, uint64(1)<<(d%64)
+			if used[word]&bit != 0 {
+				return fmt.Errorf("core: device %d assigned twice", d)
+			}
+			used[word] |= bit
 		}
 		want = s.Hi
 	}

@@ -25,28 +25,43 @@ type Phases struct {
 func (p Phases) Latency() float64 { return p.Warmup + p.Steady + p.Ending }
 
 // Units expands a plan into its interleaved computation and communication
-// units, the input of the latency model.
+// units, the input of the latency model, named for display.
 func (p *Plan) Units() []Unit {
-	units := make([]Unit, 0, 2*len(p.Stages)-1)
+	units := p.appendUnits(make([]Unit, 0, 2*len(p.Stages)-1))
+	for u := range units {
+		if i := u / 2; u%2 == 0 {
+			units[u].Name = fmt.Sprintf("stage%d", i)
+		} else {
+			units[u].Name = fmt.Sprintf("comm%d-%d", i, i+1)
+		}
+	}
+	return units
+}
+
+// appendUnits appends the plan's units, unnamed, to dst: stage i is unit 2i
+// and the boundary after it unit 2i+1.
+func (p *Plan) appendUnits(dst []Unit) []Unit {
 	for i := range p.Stages {
-		units = append(units, Unit{
-			Name: fmt.Sprintf("stage%d", i),
-			F:    p.StageFwdTime(i),
-			B:    p.StageBwdTime(i),
-			AR:   p.StageAllReduceTime(i),
+		dst = append(dst, Unit{
+			F:  p.StageFwdTime(i),
+			B:  p.StageBwdTime(i),
+			AR: p.StageAllReduceTime(i),
 		})
 		if i < len(p.Stages)-1 {
 			t := p.CrossStageTime(i)
-			units = append(units, Unit{
-				Name: fmt.Sprintf("comm%d-%d", i, i+1),
+			dst = append(dst, Unit{
 				F:    t,
 				B:    t, // boundary gradient volume equals activation volume
 				Comm: true,
 			})
 		}
 	}
-	return units
+	return dst
 }
+
+// stackUnits is the unit count Latency evaluates without allocating: plans
+// of up to 8 stages.
+const stackUnits = 15
 
 // PivotStage implements Eq. (3): starting from the last unit, walk toward the
 // front and adopt stage s as pivot whenever its bubble-free steady time
@@ -110,9 +125,11 @@ func PipelineLatency(units []Unit, m int) Phases {
 }
 
 // Latency returns the analytic pipeline latency of the plan: Eq. (2) over
-// the plan's units with its micro-batch count.
+// the plan's units with its micro-batch count. It does not allocate for
+// plans of up to 8 stages.
 func (p *Plan) Latency() float64 {
-	return PipelineLatency(p.Units(), p.M()).Latency()
+	var buf [stackUnits]Unit
+	return PipelineLatency(p.appendUnits(buf[:0]), p.M()).Latency()
 }
 
 // Speedup returns the paper's training speedup metric for this plan: the

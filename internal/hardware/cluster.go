@@ -7,10 +7,7 @@
 // they compose directly with task durations in the simulator.
 package hardware
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DeviceID identifies a single accelerator in a cluster. Devices are numbered
 // row-major: device d lives on server d/GPUsPerServer.
@@ -123,20 +120,6 @@ func (c Cluster) SpansServers(devs []DeviceID) bool {
 		}
 	}
 	return false
-}
-
-// ServersUsed returns the sorted list of distinct servers hosting devs.
-func (c Cluster) ServersUsed(devs []DeviceID) []int {
-	seen := map[int]bool{}
-	for _, d := range devs {
-		seen[c.Server(d)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Validate checks internal consistency, returning a descriptive error for

@@ -1,7 +1,7 @@
 package planner
 
 import (
-	"sort"
+	"cmp"
 	"sync"
 	"sync/atomic"
 )
@@ -45,8 +45,8 @@ func (s *search) rootTasks(used alloc) []rootTask {
 	var tasks []rootTask
 	for j2 := 1; j2 < n; j2++ {
 		for r := 1; r < free; r++ {
-			for _, take := range s.placements(used, r) {
-				tasks = append(tasks, rootTask{j2: j2, take: take})
+			for _, take := range s.placements(&s.levels[0].takes, used, r) {
+				tasks = append(tasks, rootTask{j2: j2, take: take.clone()})
 			}
 		}
 	}
@@ -59,8 +59,10 @@ func (s *search) rootTasks(used alloc) []rootTask {
 // of a chunk reads the same value), and a sequence-number block disjoint
 // from every other branch so that merged tie-breaks reproduce the
 // sequential visit order. The derived constants (sumFB, micro-batch
-// geometry) are shared read-only.
-func (s *search) branch(i int) *search {
+// geometry) are shared read-only; the branch works in sc, whose memo it
+// clears.
+func (s *search) branch(i int, sc *scratch) *search {
+	clear(sc.memo)
 	return &search{
 		ctx: s.ctx,
 		m:   s.m, c: s.c, gbs: s.gbs,
@@ -74,8 +76,8 @@ func (s *search) branch(i int) *search {
 		sumFB:     s.sumFB,
 		best:      s.best,
 		seq:       (uint64(i) + 1) << 32,
-		memo:      map[string]float64{},
 		cands:     map[string]candidate{},
+		scratch:   sc,
 	}
 }
 
@@ -87,18 +89,10 @@ func (s *search) merge(b *search) {
 	if b.best < s.best {
 		s.best = b.best
 	}
-	type kv struct {
-		k string
-		v candidate
-	}
-	list := make([]kv, 0, len(b.cands))
-	for k, v := range b.cands {
-		list = append(list, kv{k, v})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].v.seq < list[j].v.seq })
-	for _, e := range list {
-		if old, ok := s.cands[e.k]; !ok || betterCand(e.v, old) {
-			s.cands[e.k] = e.v
+	bySeq := func(a, b candidate) int { return cmp.Compare(a.seq, b.seq) }
+	for _, e := range sortedCands(b.cands, bySeq) {
+		if old, ok := s.cands[e.sig]; !ok || cmpCand(e.c, old) < 0 {
+			s.cands[e.sig] = e.c
 		}
 	}
 	if len(s.cands) > maxCands {
@@ -144,12 +138,13 @@ func (s *search) fanout(used alloc) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := newScratch(s.c, s.maxStages)
 				for {
 					i := int(atomic.AddInt64(&next, 1))
 					if i >= hi || s.ctx.Err() != nil {
 						return
 					}
-					b := s.branch(i)
+					b := s.branch(i, sc)
 					b.step(0, tasks[i].j2, used, nil, tasks[i].take, 0)
 					branches[i] = b
 				}

@@ -27,9 +27,11 @@
 package planner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,7 +84,6 @@ func PlanContext(ctx context.Context, m *model.Model, c hardware.Cluster, opts O
 		workers:   opts.Workers,
 		prune:     !opts.NoPrune,
 		best:      math.Inf(1),
-		memo:      map[string]float64{},
 		cands:     map[string]candidate{},
 	}
 	s.precompute()
@@ -113,14 +114,30 @@ type candidate struct {
 	seq       uint64
 }
 
-// betterCand orders candidates by analytic latency, breaking exact ties by
+// cmpCand orders candidates by analytic latency, breaking exact ties by
 // discovery order — the total order every candidate sort in this package
 // uses.
-func betterCand(a, b candidate) bool {
-	if a.analytic != b.analytic {
-		return a.analytic < b.analytic
+func cmpCand(a, b candidate) int {
+	if c := cmp.Compare(a.analytic, b.analytic); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// keyedCand is a recorded candidate with its signature.
+type keyedCand struct {
+	sig string
+	c   candidate
+}
+
+// sortedCands lists a candidate table in the given order.
+func sortedCands(cands map[string]candidate, order func(a, b candidate) int) []keyedCand {
+	list := make([]keyedCand, 0, len(cands))
+	for k, v := range cands {
+		list = append(list, keyedCand{k, v})
+	}
+	slices.SortFunc(list, func(a, b keyedCand) int { return order(a.c, b.c) })
+	return list
 }
 
 // maxCands bounds the candidate table; beyond it the worst half is dropped.
@@ -152,13 +169,59 @@ type search struct {
 	explored int
 	stopped  bool   // ctx expired; unwind the search without exploring further
 	seq      uint64 // next candidate sequence number
-	memo     map[string]float64
 	cands    map[string]candidate
+
+	*scratch
+}
+
+// scratch is the working memory of one depth-first search, reused from
+// state to state so that scoring a state allocates nothing; only recording
+// a finalist or a new memo entry does. The stage cut at depth d owns
+// levels[d] and stages[d], and a stage's devices sit in devs right after
+// the devices of the stages before it, so every candidate plan fills
+// devs[:NumDevices]. A call only writes beyond its caller's share, so the
+// buffers are reused in stack order.
+type scratch struct {
+	levels []level
+	stages []core.Stage
+	devs   []hardware.DeviceID
+	cnt    []int              // zeroed per-server tally for candidate signatures
+	buf    []byte             // memo key or candidate signature under construction
+	memo   map[string]float64 // dominance memo, cleared for each branch
+}
+
+// level is the scratch of one depth: the placements tried for the stage cut
+// there and the allocation after it.
+type level struct {
+	takes [3]alloc
+	used  alloc
+}
+
+// newScratch sizes a scratch for plans of up to maxStages stages on c.
+func newScratch(c hardware.Cluster, maxStages int) *scratch {
+	// A stage holds at least one device.
+	maxStages = max(1, min(maxStages, c.NumDevices()))
+	sc := &scratch{
+		levels: make([]level, maxStages),
+		stages: make([]core.Stage, maxStages+1),
+		devs:   make([]hardware.DeviceID, c.NumDevices()),
+		cnt:    make([]int, c.Servers),
+		memo:   map[string]float64{},
+	}
+	for i := range sc.levels {
+		lv := &sc.levels[i]
+		for k := range lv.takes {
+			lv.takes[k] = make(alloc, c.Servers)
+		}
+		lv.used = make(alloc, c.Servers)
+	}
+	return sc
 }
 
 // precompute derives the per-search constants of the lower bound: the
 // micro-batch geometry (identical for every candidate plan of this search)
-// and the per-layer work prefix sums.
+// and the per-layer work prefix sums. It also gives the search a scratch
+// unless it already has one.
 func (s *search) precompute() {
 	s.mb = core.ChooseMicroBatch(s.m, s.gbs)
 	mCount := s.gbs / s.mb
@@ -170,6 +233,9 @@ func (s *search) precompute() {
 	s.sumFB = make([]float64, n+1)
 	for i := 0; i < n; i++ {
 		s.sumFB[i+1] = s.sumFB[i] + s.m.FwdTime(i, s.mb) + s.m.BwdTime(i, s.mb)
+	}
+	if s.scratch == nil {
+		s.scratch = newScratch(s.c, s.maxStages)
 	}
 }
 
@@ -188,14 +254,14 @@ func (s *search) cancelled() bool {
 // alloc tracks GPUs already claimed per server.
 type alloc []int
 
-func (a alloc) key(j int) string {
-	b := make([]byte, 0, 3*len(a)+8)
+// appendKey appends the dominance-memo key of state (j, a) to b.
+func (a alloc) appendKey(b []byte, j int) []byte {
 	b = strconv.AppendInt(b, int64(j), 10)
 	for _, v := range a {
 		b = append(b, ';')
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return string(b)
+	return b
 }
 
 func (a alloc) clone() alloc { return append(alloc(nil), a...) }
@@ -244,7 +310,7 @@ func (s *search) seedBalancedHybrids() {
 		lo := 0
 		ok := true
 		for i := 0; i < k; i++ {
-			take := s.freshFirst(used, r)
+			take := s.freshFirst(nil, used, r)
 			if take == nil {
 				ok = false
 				break
@@ -297,7 +363,7 @@ func (s *search) extend(j int, used alloc, prefix []core.Stage, maxUnit float64)
 					continue
 				}
 			}
-			for _, take := range s.placements(used, r) {
+			for _, take := range s.placements(&s.levels[len(prefix)].takes, used, r) {
 				s.step(j, j2, used, prefix, take, maxUnit)
 			}
 		}
@@ -307,14 +373,16 @@ func (s *search) extend(j int, used alloc, prefix []core.Stage, maxUnit float64)
 // step processes one transition: cut a stage holding layers [j, j2) with
 // placement take out of state (j, used, prefix), record the completed
 // candidate it induces, and extend the new state unless a prune rule cuts
-// the subtree.
+// the subtree. prefix is the scratch's stages[:len(prefix)].
 func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, maxUnit float64) {
+	d := len(prefix)
 	stage := s.materialize(j, j2, used, take)
-	newUsed := used.clone()
+	newUsed := s.levels[d].used
 	for i := range take {
-		newUsed[i] += take[i]
+		newUsed[i] = used[i] + take[i]
 	}
-	stages := append(append([]core.Stage(nil), prefix...), stage)
+	stages := s.stages[:d+1]
+	stages[d] = stage
 	l := s.candidate(stages, j2, newUsed)
 	if math.IsInf(l, 1) {
 		return
@@ -331,11 +399,11 @@ func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, ma
 		}
 	}
 	if s.prune {
-		key := newUsed.key(j2)
-		if old, ok := s.memo[key]; ok && l >= old {
+		s.buf = newUsed.appendKey(s.buf[:0], j2)
+		if old, ok := s.memo[string(s.buf)]; ok && l >= old {
 			return
 		}
-		s.memo[key] = l
+		s.memo[string(s.buf)] = l
 		if l > s.best*s.slack {
 			return
 		}
@@ -362,22 +430,19 @@ func (s *search) lowerBound(j int, used alloc, maxUnit float64) float64 {
 
 // candidate evaluates the complete plan formed by prefix plus one suffix
 // stage holding layers [j, N) on every unused device, records it, and returns
-// its analytic latency (Inf when invalid).
+// its analytic latency (Inf when invalid). prefix is the scratch's
+// stages[:len(prefix)].
 func (s *search) candidate(prefix []core.Stage, j int, used alloc) float64 {
-	take := make(alloc, len(used))
-	for i, u := range used {
-		take[i] = s.c.GPUsPerServer - u
-	}
-	suffix := s.materialize(j, s.m.NumLayers(), used, take)
-	stages := append(append([]core.Stage(nil), prefix...), suffix)
+	stages := s.stages[:len(prefix)+1]
+	stages[len(prefix)] = s.materialize(j, s.m.NumLayers(), used, nil)
 	return s.evaluate(stages)
 }
 
 // evaluate scores a complete stage list, recording it as a finalist when it
-// fits memory (directly or with re-computation).
+// fits memory (directly or with re-computation). Scoring allocates nothing;
+// a recorded finalist gets its own copy of the plan.
 func (s *search) evaluate(stages []core.Stage) float64 {
-	p := &core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs}
-	p.MicroBatch = s.mb
+	p := core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs, MicroBatch: s.mb}
 	if p.Validate() != nil {
 		return math.Inf(1)
 	}
@@ -390,18 +455,19 @@ func (s *search) evaluate(stages []core.Stage) float64 {
 	recompute := false
 	if s.memCheck {
 		switch {
-		case FitsMemory(p, false):
-		case FitsMemory(p, true):
+		case FitsMemory(&p, false):
+		case FitsMemory(&p, true):
 			recompute = true
 		default:
 			return l // prunable but not a feasible finalist
 		}
 	}
-	c := candidate{plan: p, analytic: l, recompute: recompute, seq: s.seq}
+	c := candidate{analytic: l, recompute: recompute, seq: s.seq}
 	s.seq++
-	sig := p.SplitString() + "|" + p.ReplicaString() + "|" + placementSig(p)
-	if old, ok := s.cands[sig]; !ok || betterCand(c, old) {
-		s.cands[sig] = c
+	s.buf = s.appendSig(s.buf[:0], stages)
+	if old, ok := s.cands[string(s.buf)]; !ok || cmpCand(c, old) < 0 {
+		c.plan = ownPlan(p)
+		s.cands[string(s.buf)] = c
 		if len(s.cands) > maxCands {
 			s.compactCands()
 		}
@@ -411,41 +477,64 @@ func (s *search) evaluate(stages []core.Stage) float64 {
 
 // compactCands drops the worst half of recorded candidates to bound memory.
 func (s *search) compactCands() {
-	type kv struct {
-		k string
-		v candidate
-	}
-	all := make([]kv, 0, len(s.cands))
-	for k, v := range s.cands {
-		all = append(all, kv{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool { return betterCand(all[i].v, all[j].v) })
+	all := sortedCands(s.cands, cmpCand)
 	for _, e := range all[len(all)/2:] {
-		delete(s.cands, e.k)
+		delete(s.cands, e.sig)
 	}
 }
 
-// placementSig fingerprints which servers each stage occupies.
-func placementSig(p *core.Plan) string {
-	b := make([]byte, 0, 16)
-	for _, st := range p.Stages {
-		seen := map[int]int{}
+// appendSig appends the signature candidates are de-duplicated by to b: the
+// layer split, the replication degrees and, per stage, the device count on
+// each server it occupies in ascending server order, e.g.
+// "9:7|8:8|0x8/1x8/". The stages' devices must lie in the cluster.
+func (s *search) appendSig(b []byte, stages []core.Stage) []byte {
+	for i, st := range stages {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = strconv.AppendInt(b, int64(st.Layers()), 10)
+	}
+	b = append(b, '|')
+	for i, st := range stages {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = strconv.AppendInt(b, int64(st.Replicas()), 10)
+	}
+	b = append(b, '|')
+	for _, st := range stages {
 		for _, d := range st.Devices {
-			seen[p.Cluster.Server(d)]++
+			s.cnt[s.c.Server(d)]++
 		}
-		srvs := make([]int, 0, len(seen))
-		for s := range seen {
-			srvs = append(srvs, s)
-		}
-		sort.Ints(srvs)
-		for _, s := range srvs {
-			b = strconv.AppendInt(b, int64(s), 10)
-			b = append(b, 'x')
-			b = strconv.AppendInt(b, int64(seen[s]), 10)
+		for srv, k := range s.cnt {
+			if k > 0 {
+				b = strconv.AppendInt(b, int64(srv), 10)
+				b = append(b, 'x')
+				b = strconv.AppendInt(b, int64(k), 10)
+				s.cnt[srv] = 0
+			}
 		}
 		b = append(b, '/')
 	}
-	return string(b)
+	return b
+}
+
+// ownPlan copies a scratch-backed plan into one with its own stage and
+// device slices, so the search can reuse its scratch.
+func ownPlan(p core.Plan) *core.Plan {
+	n := 0
+	for _, st := range p.Stages {
+		n += len(st.Devices)
+	}
+	devs := make([]hardware.DeviceID, 0, n)
+	stages := make([]core.Stage, len(p.Stages))
+	for i, st := range p.Stages {
+		lo := len(devs)
+		devs = append(devs, st.Devices...)
+		stages[i] = core.Stage{Lo: st.Lo, Hi: st.Hi, Devices: devs[lo:len(devs):len(devs)]}
+	}
+	p.Stages = stages
+	return &p
 }
 
 // finalize re-ranks the analytic finalists on the discrete-event scheduler.
@@ -459,7 +548,7 @@ func (s *search) finalize(limit int) (*Result, error) {
 	for _, c := range s.cands {
 		list = append(list, c)
 	}
-	sort.Slice(list, func(i, j int) bool { return betterCand(list[i], list[j]) })
+	slices.SortFunc(list, cmpCand)
 	if len(list) > limit {
 		kept := list[:limit:limit]
 		// The reference corners always get a simulator hearing: pure data
@@ -647,14 +736,24 @@ func balancedPartition(m *model.Model, n, g int) []int {
 }
 
 // materialize turns a per-server take vector into a Stage, assigning the
-// lowest free device IDs within each server.
+// lowest free device IDs within each server; a nil take claims every free
+// device. The devices are written to the scratch right after the ones the
+// allocation used already holds.
 func (s *search) materialize(lo, hi int, used, take alloc) core.Stage {
-	var devs []hardware.DeviceID
-	for srv, k := range take {
-		base := srv * s.c.GPUsPerServer
+	off := 0
+	for _, u := range used {
+		off += u
+	}
+	devs := s.devs[off:off]
+	for srv, u := range used {
+		k := s.c.GPUsPerServer - u
+		if take != nil {
+			k = take[srv]
+		}
+		base := srv*s.c.GPUsPerServer + u
 		for i := 0; i < k; i++ {
-			devs = append(devs, hardware.DeviceID(base+used[srv]+i))
+			devs = append(devs, hardware.DeviceID(base+i))
 		}
 	}
-	return core.Stage{Lo: lo, Hi: hi, Devices: devs}
+	return core.Stage{Lo: lo, Hi: hi, Devices: devs[:len(devs):len(devs)]}
 }

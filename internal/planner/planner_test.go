@@ -102,22 +102,22 @@ func TestPlacementPolicies(t *testing.T) {
 	s := &search{c: hardware.ConfigA(2)}
 	used := alloc{3, 0}
 
-	fresh := s.freshFirst(used, 8)
+	fresh := s.freshFirst(nil, used, 8)
 	if fresh[1] != 8 || fresh[0] != 0 {
 		t.Fatalf("fresh first should fill server 1: %v", fresh)
 	}
-	app := s.appendFirst(used, 5)
+	app := s.appendFirst(nil, used, 5)
 	if app[0] != 5 {
 		t.Fatalf("append first should fill server 0's free slots: %v", app)
 	}
-	scatter := s.scatterFirst(used, 6)
+	scatter := s.scatterFirst(nil, used, 6)
 	if scatter[0] == 0 || scatter[1] == 0 {
 		t.Fatalf("scatter should use both servers: %v", scatter)
 	}
-	if s.freshFirst(used, 13) == nil {
+	if s.freshFirst(nil, used, 13) == nil {
 		t.Fatal("13 devices are available")
 	}
-	if s.freshFirst(used, 14) != nil {
+	if s.freshFirst(nil, used, 14) != nil {
 		t.Fatal("14 devices are not available")
 	}
 }
@@ -133,7 +133,7 @@ func TestPlacementProperty(t *testing.T) {
 			return true
 		}
 		r := int(r8)%free + 1
-		for _, take := range s.placements(used, r) {
+		for _, take := range s.placements(new([3]alloc), used, r) {
 			sum := 0
 			for srv, k := range take {
 				if k < 0 || used[srv]+k > 8 {

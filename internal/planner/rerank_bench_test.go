@@ -13,8 +13,8 @@ import (
 // finalists — at a fixed worker count. The search runs once outside the
 // timer; finalize only reads its candidate table, so timing it repeatedly is
 // sound. Sequential (workers=1) and parallel (workers=8) pick identical
-// plans by construction; on multi-core hosts the parallel pass spreads the K
-// finalist simulations across cores.
+// plans by construction; the parallel pass spreads the K finalist
+// simulations across cores.
 func benchRerank(b *testing.B, workers int) {
 	b.Helper()
 	m := model.GNMT16()
@@ -28,7 +28,6 @@ func benchRerank(b *testing.B, workers int) {
 		workers:   workers,
 		prune:     true,
 		best:      math.Inf(1),
-		memo:      map[string]float64{},
 		cands:     map[string]candidate{},
 	}
 	s.precompute()
