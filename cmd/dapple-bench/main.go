@@ -11,8 +11,8 @@
 // re-baselining on multi-core hosts.
 //
 // With -kernels it times the tensor kernels themselves (the blocked
-// pool-parallel GEMM core against the retained legacy scalar loop, plus a
-// worker-count sweep) — the portable form of the BenchmarkGEMM family for
+// pool-parallel GEMM core on every kind, plus a worker-count sweep) — the
+// portable form of the BenchmarkGEMM family for
 // re-baselining BENCH_kernels.json on multi-core hosts.
 //
 // Usage:
@@ -54,7 +54,7 @@ func main() {
 	execMode := flag.Bool("exec", false, "benchmark the real training runtime instead of the simulator sweeps")
 	execIters := flag.Int("exec-iters", 50, "timed iterations per policy in -exec mode (after 3 warm-up iterations)")
 	execTransport := flag.String("exec-transport", "inproc", "-exec data plane: 'inproc' (single-process executor) or 'tcp' (2-worker coordinator session over loopback sockets)")
-	kernelMode := flag.Bool("kernels", false, "benchmark the tensor GEMM kernels (blocked core vs legacy scalar, worker sweep)")
+	kernelMode := flag.Bool("kernels", false, "benchmark the tensor GEMM kernels (blocked core on every kind, worker sweep)")
 	kernelDim := flag.Int("kernel-dim", 512, "square matrix dimension for -kernels timings")
 	kernelReps := flag.Int("kernel-reps", 5, "timed repetitions per -kernels measurement (median reported)")
 	planFlags := cliutil.RegisterPlanFlags()
@@ -306,10 +306,9 @@ func medianOf(reps int, fn func()) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// runKernelBench times the tensor GEMM kernels outside `go test`: the legacy
-// scalar loop (the pre-blocked dense hot path, retained as the sparse-aware
-// entry point), the blocked core on all three kinds, and a worker-count
-// sweep — the portable source of BENCH_kernels.json numbers. Results are
+// runKernelBench times the tensor GEMM kernels outside `go test`: the blocked
+// core on all three kinds and a worker-count sweep — the portable source of
+// BENCH_kernels.json numbers. Results are
 // bit-identical across worker counts, so the sweep measures time only.
 func runKernelBench(dim, reps int) {
 	fmt.Printf("kernel benchmark: %d reps/measurement (medians), %dx%d float64 operands\nhost: %s\n",
@@ -324,7 +323,6 @@ func runKernelBench(dim, reps int) {
 	report := func(name string, d time.Duration) {
 		fmt.Printf("  %-24s %12s  %7.2f GFLOP/s\n", name, d, flops/d.Seconds()/1e9)
 	}
-	report("legacy scalar (ikj)", medianOf(reps, func() { tensor.MatMulZeroSkipInto(out, a, b) }))
 	report("blocked NN", medianOf(reps, func() { tensor.MatMulInto(out, a, b) }))
 	report("blocked TN (a^T@b)", medianOf(reps, func() { tensor.MatMulATBAddInto(out, a, b) }))
 	report("blocked NT (a@b^T)", medianOf(reps, func() { tensor.MatMulABTInto(out, a, b) }))

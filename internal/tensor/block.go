@@ -2,29 +2,32 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
-// This file is the blocked GEMM core every matmul variant routes through.
-// The structure is the classic GotoBLAS decomposition, sized for L1/L2:
+// This file is the blocked GEMM core every matmul variant routes through,
+// for every shape. The structure is the classic GotoBLAS decomposition, sized
+// for L1/L2:
 //
 //   - The output is split into disjoint blockMC x blockNC tiles; the tile
-//     grid is the unit of parallelism (see parallel.go).
-//   - Each tile walks the k dimension in blockKC panels. Per panel, the
-//     needed slice of b (and of a, when a is accessed column-wise) is packed
-//     into a pooled, contiguous buffer so the inner kernel streams packed
-//     columns with unit stride regardless of operand layout.
-//   - A 2x4 register-tiled micro-kernel does the FLOPs: 8 accumulators plus
-//     2 a-scalars and 4 b-scalars stay within the 16 float registers of
-//     baseline amd64, so the inner loop runs without spills.
+//     grid is the unit of parallelism (see parallel.go). A single-tile
+//     product runs inline on the caller, without pool dispatch.
+//   - Each tile walks the k dimension in blockKC panels. Per panel, b's
+//     slice is packed into a recycled panel of zero-padded 4-column slivers,
+//     so the micro-kernel reads each k step's 4 b values contiguously.
+//   - A 4x4 register-blocked micro-kernel does the FLOPs. On amd64 it is
+//     assembly (kernel_amd64.s): 8 two-lane XMM accumulators, VFMADD231PD
+//     on GOAMD64=v3/v4 and MULPD+ADDPD otherwise. Elsewhere, and under the
+//     race detector, the portable kern4x4Go runs instead. a is read in place
+//     through row and k strides, so no operand layout is transposed.
 //
 // Determinism: a tile owns its output elements exclusively, and it runs its
 // k panels in increasing order with increasing kk inside each panel — so
-// every output element is one in-order accumulation chain (the refGemm
-// contract) no matter how many workers execute tiles. Fused bias/ReLU
-// epilogues run once per tile after its final panel, which likewise touches
-// each element exactly once.
+// every output element is one in-order fmadd accumulation chain (the chain
+// the refGemm test oracle spells out) no matter how many workers execute
+// tiles. Both kernels and the edge loop round each step exactly like fmadd
+// in that build. Fused bias/ReLU epilogues run once per tile after its final
+// panel, which likewise touches each element exactly once.
 
 // Cache block sizes for the tiled core. At float64 these default to a
 // 192-deep packed b panel of 128 columns (192 KiB, L2-resident) against
@@ -37,31 +40,37 @@ var (
 	blockKC = 192
 )
 
-// smallGEMMFlops is the m*n*k product below which GEMM skips packing and
-// parallel dispatch and runs a direct kernel (same accumulation chains). A
-// variable so property tests can force tiny shapes through the blocked core.
-var smallGEMMFlops = 1 << 18
-
 // shapeErr formats the panic message for a kernel shape mismatch.
 func shapeErr(op string, got, want *Matrix) string {
 	return fmt.Sprintf("tensor: %s shape %dx%d vs %dx%d", op, got.Rows, got.Cols, want.Rows, want.Cols)
 }
 
-// packBuf holds one worker's pooled packing panels, recycled via packPool so
-// warm kernels allocate nothing.
-type packBuf struct {
-	bt []float64
-	at []float64
+// panels recycles sliver panels between tile runs so warm kernels allocate
+// nothing. It is a channel, not a sync.Pool: a pool may drop its items at any
+// GC, and at random under the race detector, which would make even a warm
+// single-tile product allocate. The capacity exceeds the tile runs that are
+// live at once in practice (concurrent GEMM callers plus pool helpers); a
+// panel returned to a full list is left to the GC.
+var panels = make(chan []float64, 64)
+
+// getPanel returns a recycled panel (or a new one) of length n.
+func getPanel(n int) []float64 {
+	select {
+	case p := <-panels:
+		if cap(p) >= n {
+			return p[:n]
+		}
+	default:
+	}
+	return make([]float64, n)
 }
 
-var packPool = sync.Pool{New: func() any { return new(packBuf) }}
-
-// grow returns s with length n, reallocating only when capacity is short.
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// putPanel returns a panel to the free list.
+func putPanel(p []float64) {
+	select {
+	case panels <- p:
+	default:
 	}
-	return s[:n]
 }
 
 // gemmJob is one GEMM dispatch: operands, optional fused epilogues, and the
@@ -86,20 +95,39 @@ type gemmJob struct {
 	vspan  int
 }
 
-// gemm routes one GEMM variant through the direct small-shape kernels or the
-// blocked pool-parallel core. bias (len n, added to every row) and reluMask
-// (pass-through bits at flat index i*n+j) are optional fused epilogues; both
-// paths produce bit-identical results for any worker count.
+// gemmKind selects which of the three operand layouts a GEMM computes.
+type gemmKind uint8
+
+const (
+	// gemmNN computes out = a @ b.
+	gemmNN gemmKind = iota
+	// gemmTN computes out = aᵀ @ b (weight gradients).
+	gemmTN
+	// gemmNT computes out = a @ bᵀ (input gradients).
+	gemmNT
+)
+
+// gemmDims returns the logical (m, n, k) of a kind's product.
+func gemmDims(kind gemmKind, a, b *Matrix) (m, n, k int) {
+	switch kind {
+	case gemmNN:
+		return a.Rows, b.Cols, a.Cols
+	case gemmTN:
+		return a.Cols, b.Cols, a.Rows
+	default: // gemmNT
+		return a.Rows, b.Rows, a.Cols
+	}
+}
+
+// gemm routes one GEMM variant through the tiled pool-parallel core. bias
+// (len n, added to every row) and reluMask (pass-through bits at flat index
+// i*n+j) are optional fused epilogues; results are bit-identical for any
+// worker count.
 func gemm(kind gemmKind, out, a, b *Matrix, accumulate bool, bias []float64, reluMask []uint64) {
 	m, n, k := gemmDims(kind, a, b)
 	g := gemmJob{
 		kind: kind, out: out, a: a, b: b, accumulate: accumulate,
 		bias: bias, reluMask: reluMask, m: m, n: n, k: k,
-	}
-	if m*n*k < smallGEMMFlops {
-		smallGemm(&g)
-		g.epilogue(0, m, 0, n, false)
-		return
 	}
 	tm := (m + blockMC - 1) / blockMC
 	tn := (n + blockNC - 1) / blockNC
@@ -108,9 +136,9 @@ func gemm(kind gemmKind, out, a, b *Matrix, accumulate bool, bias []float64, rel
 }
 
 // runTile computes one blockMC x blockNC output tile end to end: zero (or
-// keep, when accumulating) the tile, fold in every k panel through the
-// packed micro-kernel, then apply the fused epilogues. Vector-kernel jobs
-// dispatch through the same entry point so the pool protocol stays shared.
+// keep, when accumulating) the tile, fold in every k panel through the 4x4
+// micro-kernel, then apply the fused epilogues. Vector-kernel jobs dispatch
+// through the same entry point so the pool protocol stays shared.
 func (g *gemmJob) runTile(t int) {
 	if g.vecOp != vecNone {
 		g.runVecSpan(t)
@@ -124,157 +152,135 @@ func (g *gemmJob) runTile(t int) {
 	oc := g.out.Cols
 	if !g.accumulate {
 		for i := i0; i < i1; i++ {
-			row := g.out.Data[i*oc+j0 : i*oc+j1]
-			for x := range row {
-				row[x] = 0
-			}
+			clear(g.out.Data[i*oc+j0 : i*oc+j1])
 		}
 	}
-	pk := packPool.Get().(*packBuf)
+	// Sized for the largest tile so a recycled panel never regrows: a warm
+	// kernel must not allocate whichever tile shape a panel served last.
+	bp := getPanel((blockNC + 3) / 4 * 4 * blockKC)
 	for pc := 0; pc < g.k; pc += blockKC {
 		kcb := min(blockKC, g.k-pc)
-		pk.bt = grow(pk.bt, (j1-j0)*kcb)
-		g.packB(pk.bt, j0, j1, pc, kcb)
-		var at []float64
-		if g.kind == gemmTN {
-			pk.at = grow(pk.at, (i1-i0)*kcb)
-			g.packA(pk.at, i0, i1, pc, kcb)
-			at = pk.at
-		}
-		g.kernel(i0, i1, j0, j1, pc, kcb, pk.bt, at)
+		g.packB(bp, j0, j1, pc, kcb)
+		g.panel(i0, i1, j0, j1, pc, kcb, bp)
 	}
-	packPool.Put(pk)
-	g.epilogue(i0, i1, j0, j1, true)
+	putPanel(bp)
+	g.epilogue(i0, i1, j0, j1)
 }
 
-// packB gathers the k panel's slice of b into bt so packed column j (the
-// kernel's unit-stride operand) holds b's logical column j0+j for rows
-// [pc, pc+kcb). Reads stream b contiguously; writes stay in the hot panel.
-func (g *gemmJob) packB(bt []float64, j0, j1, pc, kcb int) {
+// packB packs the k panel [pc, pc+kcb) of b's logical columns [j0, j1) into
+// 4-column slivers: sliver s holds logical b[pc+kk][j0+4s+x] at
+// bp[s*4*kcb+kk*4+x], lanes past j1 zeroed. NN and TN copy 4-wide row
+// segments; NT, whose logical columns are b's rows, interleaves 4 rows.
+func (g *gemmJob) packB(bp []float64, j0, j1, pc, kcb int) {
+	bd, bc := g.b.Data, g.b.Cols
+	for j := j0; j < j1; j += 4 {
+		s := bp[(j-j0)*kcb:][:4*kcb]
+		switch w := j1 - j; {
+		case w < 4:
+			clear(s)
+			for x := 0; x < w; x++ {
+				for kk := 0; kk < kcb; kk++ {
+					s[kk*4+x] = bd[g.bIndex(pc+kk, j+x)]
+				}
+			}
+		case g.kind == gemmNT:
+			r0 := bd[j*bc+pc:][:kcb]
+			r1 := bd[(j+1)*bc+pc:][:kcb]
+			r2 := bd[(j+2)*bc+pc:][:kcb]
+			r3 := bd[(j+3)*bc+pc:][:kcb]
+			for kk, v := range r0 {
+				d := s[kk*4:][:4]
+				d[0], d[1], d[2], d[3] = v, r1[kk], r2[kk], r3[kk]
+			}
+		default:
+			for kk := 0; kk < kcb; kk++ {
+				r := bd[(pc+kk)*bc+j:][:4]
+				d := s[kk*4:][:4]
+				d[0], d[1], d[2], d[3] = r[0], r[1], r[2], r[3]
+			}
+		}
+	}
+}
+
+// bIndex returns the flat index of logical b[kk][j].
+func (g *gemmJob) bIndex(kk, j int) int {
 	if g.kind == gemmNT {
-		bd, bc := g.b.Data, g.b.Cols
-		for j := j0; j < j1; j++ {
-			copy(bt[(j-j0)*kcb:(j-j0+1)*kcb], bd[j*bc+pc:j*bc+pc+kcb])
-		}
-		return
+		return j*g.b.Cols + kk
 	}
-	bd, n := g.b.Data, g.b.Cols
-	for kk := 0; kk < kcb; kk++ {
-		br := bd[(pc+kk)*n+j0 : (pc+kk)*n+j1]
-		for j, v := range br {
-			bt[j*kcb+kk] = v
-		}
-	}
+	return kk*g.b.Cols + j
 }
 
-// packA gathers a's column-wise rows for the TN (aᵀ@b) kind: packed row i
-// holds a's logical column i0+i for rows [pc, pc+kcb), giving the kernel
-// unit-stride a operands.
-func (g *gemmJob) packA(at []float64, i0, i1, pc, kcb int) {
-	ad, ac := g.a.Data, g.a.Cols
-	for kk := 0; kk < kcb; kk++ {
-		ar := ad[(pc+kk)*ac+i0 : (pc+kk)*ac+i1]
-		for i, v := range ar {
-			at[i*kcb+kk] = v
-		}
-	}
-}
-
-// aRow returns the unit-stride a operand for logical output row i of the
-// current panel: a direct row segment for NN/NT, the packed panel row for TN.
-func (g *gemmJob) aRow(i, i0, pc, kcb int, at []float64) []float64 {
-	if g.kind == gemmTN {
-		return at[(i-i0)*kcb : (i-i0+1)*kcb]
-	}
-	off := i*g.a.Cols + pc
-	return g.a.Data[off : off+kcb]
-}
-
-// kernel folds one packed k panel into out[i0:i1, j0:j1] with the 2x4
-// register-tiled micro-kernel. Row pairs are the outer loop (output rows are
-// finished in contiguous sweeps); each 4-column group slices its packed
-// columns and keeps 8 accumulators live across the kcb-long dot loop.
-// Anchoring that loop on ar0 and re-slicing every other operand to its
-// length lets the compiler drop all bounds checks from the 8-fmadd body.
-func (g *gemmJob) kernel(i0, i1, j0, j1, pc, kcb int, bt, at []float64) {
-	od, oc := g.out.Data, g.out.Cols
+// panel folds one packed k panel into out[i0:i1, j0:j1]. Full 4x4 blocks go
+// to the micro-kernel, which reads a in place through its strides. Each
+// operand is cut to exactly the extent the kernel touches, so an index bug
+// panics here rather than letting assembly read past a buffer. Rows and
+// columns past the last full block take the same per-element chain in edge.
+func (g *gemmJob) panel(i0, i1, j0, j1, pc, kcb int, bp []float64) {
+	ad, od, oc := g.a.Data, g.out.Data, g.out.Cols
+	ars, aks := g.aStrides()
+	aExt := 3*ars + (kcb-1)*aks + 1
 	i := i0
-	for ; i+2 <= i1; i += 2 {
-		ar0 := g.aRow(i, i0, pc, kcb, at)
-		ar1 := g.aRow(i+1, i0, pc, kcb, at)[:len(ar0)]
-		r0, r1 := i*oc, (i+1)*oc
-		jj := j0
-		for ; jj+4 <= j1; jj += 4 {
-			p := (jj - j0) * kcb
-			bc0 := bt[p : p+kcb][:len(ar0)]
-			bc1 := bt[p+kcb : p+2*kcb][:len(ar0)]
-			bc2 := bt[p+2*kcb : p+3*kcb][:len(ar0)]
-			bc3 := bt[p+3*kcb : p+4*kcb][:len(ar0)]
-			or0 := od[r0+jj : r0+jj+4]
-			or1 := od[r1+jj : r1+jj+4]
-			c00, c01, c02, c03 := or0[0], or0[1], or0[2], or0[3]
-			c10, c11, c12, c13 := or1[0], or1[1], or1[2], or1[3]
-			for kk := range ar0 {
-				a0, a1 := ar0[kk], ar1[kk]
-				b0, b1, b2, b3 := bc0[kk], bc1[kk], bc2[kk], bc3[kk]
-				c00 = fmadd(a0, b0, c00)
-				c01 = fmadd(a0, b1, c01)
-				c02 = fmadd(a0, b2, c02)
-				c03 = fmadd(a0, b3, c03)
-				c10 = fmadd(a1, b0, c10)
-				c11 = fmadd(a1, b1, c11)
-				c12 = fmadd(a1, b2, c12)
-				c13 = fmadd(a1, b3, c13)
-			}
-			or0[0], or0[1], or0[2], or0[3] = c00, c01, c02, c03
-			or1[0], or1[1], or1[2], or1[3] = c10, c11, c12, c13
+	for ; i+4 <= i1; i += 4 {
+		ai := ad[i*ars+pc*aks:][:aExt]
+		j := j0
+		for ; j+4 <= j1; j += 4 {
+			microKernel(kcb, ai, ars, aks, bp[(j-j0)*kcb:][:4*kcb], od[i*oc+j:][:3*oc+4], oc)
 		}
-		for ; jj < j1; jj++ {
-			bc := bt[(jj-j0)*kcb:][:len(ar0)]
-			acc0, acc1 := od[r0+jj], od[r1+jj]
-			for kk := range ar0 {
-				acc0 = fmadd(ar0[kk], bc[kk], acc0)
-				acc1 = fmadd(ar1[kk], bc[kk], acc1)
-			}
-			od[r0+jj], od[r1+jj] = acc0, acc1
-		}
+		g.edge(i, i+4, j, j1, j0, pc, kcb, bp)
 	}
-	if i < i1 {
-		ar0 := g.aRow(i, i0, pc, kcb, at)
-		r0 := i * oc
-		jj := j0
-		for ; jj+4 <= j1; jj += 4 {
-			p := (jj - j0) * kcb
-			bc0 := bt[p : p+kcb][:len(ar0)]
-			bc1 := bt[p+kcb : p+2*kcb][:len(ar0)]
-			bc2 := bt[p+2*kcb : p+3*kcb][:len(ar0)]
-			bc3 := bt[p+3*kcb : p+4*kcb][:len(ar0)]
-			or0 := od[r0+jj : r0+jj+4]
-			c00, c01, c02, c03 := or0[0], or0[1], or0[2], or0[3]
-			for kk, a0 := range ar0 {
-				c00 = fmadd(a0, bc0[kk], c00)
-				c01 = fmadd(a0, bc1[kk], c01)
-				c02 = fmadd(a0, bc2[kk], c02)
-				c03 = fmadd(a0, bc3[kk], c03)
+	g.edge(i, i1, j0, j1, j0, pc, kcb, bp)
+}
+
+// aStrides returns the flat-index steps of logical a[i][kk] along i and kk:
+// a is row-major for NN/NT and read column-wise as aᵀ for TN.
+func (g *gemmJob) aStrides() (ars, aks int) {
+	if g.kind == gemmTN {
+		return 1, g.a.Cols
+	}
+	return g.a.Cols, 1
+}
+
+// edge folds the panel into out[i0:i1, j0:j1] one element at a time, reading
+// b from the tile's slivers (the tile starts at column jt).
+func (g *gemmJob) edge(i0, i1, j0, j1, jt, pc, kcb int, bp []float64) {
+	ad, od, oc := g.a.Data, g.out.Data, g.out.Cols
+	ars, aks := g.aStrides()
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			s := bp[(j-jt)/4*4*kcb+(j-jt)%4:]
+			acc := od[i*oc+j]
+			for kk := 0; kk < kcb; kk++ {
+				acc = fmadd(ad[i*ars+(pc+kk)*aks], s[kk*4], acc)
 			}
-			or0[0], or0[1], or0[2], or0[3] = c00, c01, c02, c03
-		}
-		for ; jj < j1; jj++ {
-			bc := bt[(jj-j0)*kcb:][:len(ar0)]
-			acc := od[r0+jj]
-			for kk, av := range ar0 {
-				acc = fmadd(av, bc[kk], acc)
-			}
-			od[r0+jj] = acc
+			od[i*oc+j] = acc
 		}
 	}
 }
 
-// epilogue applies the fused bias and ReLU to the finished tile. par selects
-// atomic mask-word updates: 64-bit mask words need not align with tile
+// kern4x4Go is the portable micro-kernel: c[i*ldc+j] += Σ a[i*ars+kk*aks] ·
+// b[kk*4+j] over kk ascending for i, j in [0, 4), one fmadd chain per output
+// element. The assembly kern4x4 has the same contract, bit for bit.
+func kern4x4Go(k int, a []float64, ars, aks int, b, c []float64, ldc int) {
+	for i := 0; i < 4; i++ {
+		cr := c[i*ldc : i*ldc+4]
+		c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
+		for kk := 0; kk < k; kk++ {
+			av := a[i*ars+kk*aks]
+			br := b[kk*4 : kk*4+4]
+			c0 = fmadd(av, br[0], c0)
+			c1 = fmadd(av, br[1], c1)
+			c2 = fmadd(av, br[2], c2)
+			c3 = fmadd(av, br[3], c3)
+		}
+		cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
+	}
+}
+
+// epilogue applies the fused bias and ReLU to the finished tile. Mask words
+// are updated atomically: 64-bit mask words need not align with tile
 // boundaries, so concurrent tiles may share a word (ORing disjoint bits is
 // order-independent, keeping the result deterministic).
-func (g *gemmJob) epilogue(i0, i1, j0, j1 int, par bool) {
+func (g *gemmJob) epilogue(i0, i1, j0, j1 int) {
 	if g.bias == nil && g.reluMask == nil {
 		return
 	}
@@ -288,7 +294,7 @@ func (g *gemmJob) epilogue(i0, i1, j0, j1 int, par bool) {
 			}
 		}
 		if g.reluMask != nil {
-			g.reluSpan(row, i*oc, j0, j1, par)
+			g.reluSpan(row, i*oc, j0, j1)
 		}
 	}
 }
@@ -296,7 +302,7 @@ func (g *gemmJob) epilogue(i0, i1, j0, j1 int, par bool) {
 // reluSpan rectifies row[j0:j1] in place and records pass-through bits (flat
 // element index base+j, matching nn's ReLU mask layout), batching bit sets
 // into one mask-word write per word touched.
-func (g *gemmJob) reluSpan(row []float64, base, j0, j1 int, par bool) {
+func (g *gemmJob) reluSpan(row []float64, base, j0, j1 int) {
 	mask := g.reluMask
 	for j := j0; j < j1; {
 		word := (base + j) >> 6
@@ -310,193 +316,7 @@ func (g *gemmJob) reluSpan(row []float64, base, j0, j1 int, par bool) {
 			}
 		}
 		if bits != 0 {
-			if par {
-				atomic.OrUint64(&mask[word], bits)
-			} else {
-				mask[word] |= bits
-			}
-		}
-	}
-}
-
-// smallGemm computes small products with direct kernels — no packing or
-// dispatch overhead, but the same per-element in-order k chains as the
-// blocked core, so the two paths are bit-identical. Each kernel is unrolled
-// 2x2 over independent output rows / k pairs: pairing k steps nests fmadds
-// in ascending-k order (identical rounding to one-at-a-time accumulation),
-// while pairing rows and columns amortizes loads and breaks the
-// single-accumulator latency chain without touching element order.
-func smallGemm(g *gemmJob) {
-	if !g.accumulate {
-		g.out.Zero()
-	}
-	switch g.kind {
-	case gemmNN:
-		smallNN(g)
-	case gemmTN:
-		smallTN(g)
-	default:
-		smallNT(g)
-	}
-}
-
-// smallNN is out += a@b: row-pair outer, k-pair middle, shared b row loads.
-func smallNN(g *gemmJob) {
-	n := g.b.Cols
-	kTot := g.a.Cols
-	bd := g.b.Data
-	i := 0
-	for ; i+2 <= g.a.Rows; i += 2 {
-		ar0, ar1 := g.a.Row(i), g.a.Row(i+1)
-		or0, or1 := g.out.Row(i), g.out.Row(i+1)
-		kk := 0
-		for ; kk+2 <= kTot; kk += 2 {
-			a00, a01 := ar0[kk], ar0[kk+1]
-			a10, a11 := ar1[kk], ar1[kk+1]
-			b0 := bd[kk*n : kk*n+n]
-			b1 := bd[(kk+1)*n:][:len(b0)]
-			o0 := or0[:len(b0)]
-			o1 := or1[:len(b0)]
-			for j, bv0 := range b0 {
-				bv1 := b1[j]
-				o0[j] = fmadd(a01, bv1, fmadd(a00, bv0, o0[j]))
-				o1[j] = fmadd(a11, bv1, fmadd(a10, bv0, o1[j]))
-			}
-		}
-		if kk < kTot {
-			av0, av1 := ar0[kk], ar1[kk]
-			b0 := bd[kk*n : kk*n+n]
-			o0 := or0[:len(b0)]
-			o1 := or1[:len(b0)]
-			for j, bv := range b0 {
-				o0[j] = fmadd(av0, bv, o0[j])
-				o1[j] = fmadd(av1, bv, o1[j])
-			}
-		}
-	}
-	if i < g.a.Rows {
-		ar := g.a.Row(i)
-		or := g.out.Row(i)
-		kk := 0
-		for ; kk+2 <= kTot; kk += 2 {
-			a0, a1 := ar[kk], ar[kk+1]
-			b0 := bd[kk*n : kk*n+n]
-			b1 := bd[(kk+1)*n:][:len(b0)]
-			o := or[:len(b0)]
-			for j, bv0 := range b0 {
-				o[j] = fmadd(a1, b1[j], fmadd(a0, bv0, o[j]))
-			}
-		}
-		if kk < kTot {
-			av := ar[kk]
-			b0 := bd[kk*n : kk*n+n]
-			o := or[:len(b0)]
-			for j, bv := range b0 {
-				o[j] = fmadd(av, bv, o[j])
-			}
-		}
-	}
-}
-
-// smallTN is out += aᵀ@b: k (= a row) pairs outer, output-row pairs middle.
-func smallTN(g *gemmJob) {
-	n := g.b.Cols
-	od := g.out.Data
-	kk := 0
-	for ; kk+2 <= g.a.Rows; kk += 2 {
-		ar0, ar1 := g.a.Row(kk), g.a.Row(kk+1)
-		br0, br1 := g.b.Row(kk), g.b.Row(kk+1)
-		i := 0
-		for ; i+2 <= len(ar0); i += 2 {
-			a00, a10 := ar0[i], ar1[i]
-			a01, a11 := ar0[i+1], ar1[i+1]
-			o0 := od[i*n : i*n+n][:len(br0)]
-			o1 := od[(i+1)*n : (i+1)*n+n][:len(br0)]
-			b1 := br1[:len(br0)]
-			for j, bv0 := range br0 {
-				bv1 := b1[j]
-				o0[j] = fmadd(a10, bv1, fmadd(a00, bv0, o0[j]))
-				o1[j] = fmadd(a11, bv1, fmadd(a01, bv0, o1[j]))
-			}
-		}
-		if i < len(ar0) {
-			a0, a1 := ar0[i], ar1[i]
-			o := od[i*n : i*n+n][:len(br0)]
-			b1 := br1[:len(br0)]
-			for j, bv0 := range br0 {
-				o[j] = fmadd(a1, b1[j], fmadd(a0, bv0, o[j]))
-			}
-		}
-	}
-	if kk < g.a.Rows {
-		ar := g.a.Row(kk)
-		br := g.b.Row(kk)
-		for i, av := range ar {
-			o := od[i*n : i*n+n][:len(br)]
-			for j, bv := range br {
-				o[j] = fmadd(av, bv, o[j])
-			}
-		}
-	}
-}
-
-// smallNT is out += a@bᵀ: 2x2 blocks of dot products, four independent
-// in-order accumulator chains per block.
-func smallNT(g *gemmJob) {
-	i := 0
-	for ; i+2 <= g.a.Rows; i += 2 {
-		ar0, ar1 := g.a.Row(i), g.a.Row(i+1)
-		or0, or1 := g.out.Row(i), g.out.Row(i+1)
-		a1 := ar1[:len(ar0)]
-		j := 0
-		for ; j+2 <= g.b.Rows; j += 2 {
-			br0 := g.b.Row(j)[:len(ar0)]
-			br1 := g.b.Row(j + 1)[:len(ar0)]
-			s00, s01 := or0[j], or0[j+1]
-			s10, s11 := or1[j], or1[j+1]
-			for k, av0 := range ar0 {
-				av1 := a1[k]
-				bv0, bv1 := br0[k], br1[k]
-				s00 = fmadd(av0, bv0, s00)
-				s01 = fmadd(av0, bv1, s01)
-				s10 = fmadd(av1, bv0, s10)
-				s11 = fmadd(av1, bv1, s11)
-			}
-			or0[j], or0[j+1] = s00, s01
-			or1[j], or1[j+1] = s10, s11
-		}
-		if j < g.b.Rows {
-			br := g.b.Row(j)[:len(ar0)]
-			s0, s1 := or0[j], or1[j]
-			for k, av0 := range ar0 {
-				bv := br[k]
-				s0 = fmadd(av0, bv, s0)
-				s1 = fmadd(a1[k], bv, s1)
-			}
-			or0[j], or1[j] = s0, s1
-		}
-	}
-	if i < g.a.Rows {
-		ar := g.a.Row(i)
-		or := g.out.Row(i)
-		j := 0
-		for ; j+2 <= g.b.Rows; j += 2 {
-			br0 := g.b.Row(j)[:len(ar)]
-			br1 := g.b.Row(j + 1)[:len(ar)]
-			s0, s1 := or[j], or[j+1]
-			for k, av := range ar {
-				s0 = fmadd(av, br0[k], s0)
-				s1 = fmadd(av, br1[k], s1)
-			}
-			or[j], or[j+1] = s0, s1
-		}
-		if j < g.b.Rows {
-			br := g.b.Row(j)[:len(ar)]
-			s := or[j]
-			for k, av := range ar {
-				s = fmadd(av, br[k], s)
-			}
-			or[j] = s
+			atomic.OrUint64(&mask[word], bits)
 		}
 	}
 }

@@ -1,21 +1,21 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// forceBlocked shrinks the cache blocks and the small-shape cutoff so tiny,
-// hand-checkable shapes exercise the full packed/tiled/pool-parallel
-// machinery (including block-boundary remainders), restoring the tuned sizes
-// when the test ends.
-func forceBlocked(t *testing.T, mc, nc, kc int) {
+// shrinkBlocks shrinks the cache blocks so tiny, hand-checkable shapes span
+// several tiles and k panels (including block-boundary remainders) and fan
+// out over the pool, restoring the tuned sizes when the test ends.
+func shrinkBlocks(t *testing.T, mc, nc, kc int) {
 	t.Helper()
-	pm, pn, pk, ps := blockMC, blockNC, blockKC, smallGEMMFlops
-	blockMC, blockNC, blockKC, smallGEMMFlops = mc, nc, kc, 0
-	t.Cleanup(func() { blockMC, blockNC, blockKC, smallGEMMFlops = pm, pn, pk, ps })
+	pm, pn, pk := blockMC, blockNC, blockKC
+	blockMC, blockNC, blockKC = mc, nc, kc
+	t.Cleanup(func() { blockMC, blockNC, blockKC = pm, pn, pk })
 }
 
 // requireSameBits fails when any element of got differs from want in its
@@ -61,59 +61,38 @@ func operands(rng *rand.Rand, kind gemmKind, c gemmCase) (a, b *Matrix) {
 	}
 }
 
-// TestBlockedGemmBitIdenticalToReference pins every blocked/parallel GEMM
-// kind bit-identical to the scalar reference across adversarial shapes,
-// overwrite and accumulate modes, and worker counts 1/2/8.
+// TestBlockedGemmBitIdenticalToReference pins every GEMM kind bit-identical
+// to the scalar reference across adversarial shapes, overwrite and
+// accumulate modes, and worker counts 1/2/8 — at the tuned block sizes (one
+// tile and panel per shape, the path small products take) and at shrunk
+// 4x4x3 blocks (many tiles, panels and ragged edges).
 func TestBlockedGemmBitIdenticalToReference(t *testing.T) {
-	forceBlocked(t, 4, 4, 3)
 	rng := rand.New(rand.NewSource(42))
 	kinds := []gemmKind{gemmNN, gemmTN, gemmNT}
 	names := []string{"NN", "TN", "NT"}
-	for _, w := range []int{1, 2, 8} {
-		prev := SetWorkers(w)
-		for ki, kind := range kinds {
-			for _, c := range adversarialShapes {
-				for _, acc := range []bool{false, true} {
-					a, b := operands(rng, kind, c)
-					got := randMat(rng, c.m, c.n) // garbage: overwrite must not leak it
-					want := got.Clone()
-					refGemm(kind, want, a, b, acc)
-					gemm(kind, got, a, b, acc, nil, nil)
-					ctx := names[ki]
-					if acc {
-						ctx += "+acc"
-					}
-					requireSameBits(t, ctx, got, want)
-				}
-			}
+	for _, shrink := range []bool{false, true} {
+		if shrink {
+			shrinkBlocks(t, 4, 4, 3)
 		}
-		SetWorkers(prev)
-	}
-}
-
-// TestSmallGemmBitIdenticalToReference pins the unpacked small-product path
-// (2x2-unrolled direct kernels) bit-identical to the scalar reference across
-// the same adversarial shapes: every unroll remainder class (odd rows, odd
-// columns, odd k) must produce the same ascending-k chain per element.
-func TestSmallGemmBitIdenticalToReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	kinds := []gemmKind{gemmNN, gemmTN, gemmNT}
-	names := []string{"NN", "TN", "NT"}
-	for ki, kind := range kinds {
-		for _, c := range adversarialShapes {
-			for _, acc := range []bool{false, true} {
-				a, b := operands(rng, kind, c)
-				got := randMat(rng, c.m, c.n)
-				want := got.Clone()
-				refGemm(kind, want, a, b, acc)
-				job := &gemmJob{kind: kind, out: got, a: a, b: b, accumulate: acc}
-				smallGemm(job)
-				ctx := "small" + names[ki]
-				if acc {
-					ctx += "+acc"
+		for _, w := range []int{1, 2, 8} {
+			prev := SetWorkers(w)
+			for ki, kind := range kinds {
+				for _, c := range adversarialShapes {
+					for _, acc := range []bool{false, true} {
+						a, b := operands(rng, kind, c)
+						got := randMat(rng, c.m, c.n) // garbage: overwrite must not leak it
+						want := got.Clone()
+						refGemm(kind, want, a, b, acc)
+						gemm(kind, got, a, b, acc, nil, nil)
+						ctx := fmt.Sprintf("%s %dx%dx%d shrink=%v", names[ki], c.m, c.n, c.k, shrink)
+						if acc {
+							ctx += "+acc"
+						}
+						requireSameBits(t, ctx, got, want)
+					}
 				}
-				requireSameBits(t, ctx, got, want)
 			}
+			SetWorkers(prev)
 		}
 	}
 }
@@ -123,7 +102,7 @@ func TestSmallGemmBitIdenticalToReference(t *testing.T) {
 // then rectify-and-record) across worker counts and shapes whose 64-bit mask
 // words straddle rows and tiles.
 func TestFusedEpiloguesBitIdentical(t *testing.T) {
-	forceBlocked(t, 4, 4, 3)
+	shrinkBlocks(t, 4, 4, 3)
 	rng := rand.New(rand.NewSource(7))
 	shapes := []gemmCase{{1, 1, 1}, {3, 5, 4}, {9, 13, 7}, {27, 5, 6}, {16, 8, 9}, {5, 3, 0}}
 	for _, w := range []int{1, 2, 8} {
@@ -172,12 +151,15 @@ func TestFusedEpiloguesBitIdentical(t *testing.T) {
 // assertions rest on.
 func TestGemmWorkerCountDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := gemmCase{200, 150, 97} // 2.9M flops: blocked path at tuned sizes
+	c := gemmCase{200, 150, 97} // 2x2 tiles at tuned sizes, 2 ragged columns
 	for ki, kind := range []gemmKind{gemmNN, gemmTN, gemmNT} {
 		a, b := operands(rng, kind, c)
 		base := New(c.m, c.n)
 		prev := SetWorkers(1)
 		gemm(kind, base, a, b, false, nil, nil)
+		want := New(c.m, c.n)
+		refGemm(kind, want, a, b, false)
+		requireSameBits(t, []string{"NN", "TN", "NT"}[ki]+" vs reference", base, want)
 		for _, w := range []int{2, 8} {
 			SetWorkers(w)
 			got := New(c.m, c.n)
@@ -186,23 +168,6 @@ func TestGemmWorkerCountDeterminism(t *testing.T) {
 		}
 		SetWorkers(prev)
 	}
-}
-
-// TestMatMulZeroSkipMatchesDense checks the opt-in sparse entry point against
-// the dense kernel on finite inputs, where skipping zero terms is exact.
-func TestMatMulZeroSkipMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randMat(rng, 17, 23)
-	for i := range a.Data {
-		if i%3 != 0 {
-			a.Data[i] = 0
-		}
-	}
-	b := randMat(rng, 23, 9)
-	want := MatMul(a, b)
-	got := randMat(rng, 17, 9)
-	MatMulZeroSkipInto(got, a, b)
-	requireSameBits(t, "zero-skip", got, want)
 }
 
 // TestWarmKernelZeroAlloc is the warm-kernel allocation gate: once the pack
@@ -231,21 +196,21 @@ func TestWarmKernelZeroAlloc(t *testing.T) {
 }
 
 // TestConcurrentGemmCallers drives the shared pool from several goroutines at
-// once (each above the blocked-path threshold) and checks every result, so
-// the race detector sees the dispatch protocol under contention.
+// once (each product spans 2x2 tiles) and checks every result, so the race
+// detector sees the dispatch protocol under contention.
 func TestConcurrentGemmCallers(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(5))
-	a := randMat(rng, 128, 96)
-	b := randMat(rng, 96, 90) // 1.1M flops: blocked path
+	a := randMat(rng, 200, 96)
+	b := randMat(rng, 96, 150)
 	want := MatMul(a, b)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := New(128, 90)
+			out := New(200, 150)
 			for iter := 0; iter < 10; iter++ {
 				MatMulInto(out, a, b)
 				for i := range want.Data {

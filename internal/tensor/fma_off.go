@@ -4,11 +4,11 @@ package tensor
 
 // fmadd returns acc + a*b with separate multiply and add roundings.
 //
-// This is the portable fallback: on baseline amd64 (GOAMD64=v1/v2) the
-// math.FMA intrinsic guards every call with a runtime CPU-feature branch,
-// which measures SLOWER than plain multiply+add in the packed micro-kernel,
-// so the fused form is reserved for builds that guarantee the instruction
-// (see fma_on.go). Both definitions keep the one-rounding-order-per-output
-// contract the kernels rely on; they just differ in rounding, so the two
-// build flavors are not bit-comparable with each other.
+// This is the rounding on baseline amd64 (GOAMD64=v1/v2), where the FMA
+// instruction is not guaranteed: the assembly micro-kernel (kernel_amd64.s)
+// uses MULPD+ADDPD here, and the edge loop and the portable kern4x4Go round
+// the same way through this helper, so every path yields the same bits. The
+// fused form is reserved for builds that guarantee the instruction (see
+// fma_on.go). The two build flavors differ in rounding, so they are not
+// bit-comparable with each other.
 func fmadd(a, b, acc float64) float64 { return acc + a*b }

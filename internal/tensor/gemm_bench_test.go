@@ -7,9 +7,8 @@ import (
 )
 
 // The BenchmarkGEMM family backs BENCH_kernels.json and the CI bench smoke:
-// the blocked core on all three kinds, worker-count scaling, the retained
-// legacy scalar loop (the pre-blocked `mulBand` shape: ikj with a zero-skip
-// branch), and the fused Dense-forward epilogues.
+// the tiled core on all three kinds at 512^3, worker-count scaling, the
+// fixtures' per-replica layer shapes, and the fused Dense-forward epilogues.
 
 const benchDim = 512
 
@@ -18,7 +17,7 @@ func benchMats(n int) (a, b, out *Matrix) {
 	return randMat(rng, n, n), randMat(rng, n, n), New(n, n)
 }
 
-// BenchmarkGEMM times the blocked pool-parallel core at 512^3 for every GEMM
+// BenchmarkGEMM times the tiled pool-parallel core at 512^3 for every GEMM
 // kind (NN forward, TN weight-gradient, NT input-gradient).
 func BenchmarkGEMM(b *testing.B) {
 	x, y, out := benchMats(benchDim)
@@ -39,8 +38,8 @@ func BenchmarkGEMM(b *testing.B) {
 }
 
 // BenchmarkGEMMWorkers sweeps the shared-pool worker count at 512^3 NN — the
-// scaling record for BENCH_kernels.json (near-linear only on multi-core
-// hosts; a 1-core container serializes the helpers).
+// scaling record for BENCH_kernels.json (worker counts above the host's
+// cores serialize the helpers).
 func BenchmarkGEMMWorkers(b *testing.B) {
 	x, y, out := benchMats(benchDim)
 	for _, w := range []int{1, 2, 4, 8} {
@@ -54,39 +53,35 @@ func BenchmarkGEMMWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMScalarLegacy times the retained legacy scalar loop at 512^3 on
-// dense input — the pre-blocked `mulBand` baseline the >=2x acceptance bar in
-// BENCH_kernels.json is measured against. On dense data its zero-skip branch
-// never fires, so this is exactly the old dense hot path.
-func BenchmarkGEMMScalarLegacy(b *testing.B) {
-	x, y, out := benchMats(benchDim)
-	for i := 0; i < b.N; i++ {
-		MatMulZeroSkipInto(out, x, y)
+// BenchmarkGEMMLayerShapes times every kind at the per-replica layer shapes
+// of the repository benchmark's fixtures — a 16-row micro-batch through a
+// 128-wide layer (train-wide) and an 8-row one through a 48-wide layer
+// (session-tcp) — and reports GFLOP/s, the layer-by-layer view next to the
+// 512^3 numbers above.
+func BenchmarkGEMMLayerShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sh := range []struct{ rows, width int }{{16, 128}, {8, 48}} {
+		x := randMat(rng, sh.rows, sh.width) // activations / output gradients
+		w := randMat(rng, sh.width, sh.width)
+		out := New(sh.rows, sh.width)
+		gw := New(sh.width, sh.width)
+		flops := 2 * float64(sh.rows) * float64(sh.width) * float64(sh.width)
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"NN", func() { MatMulInto(out, x, w) }},      // forward: x @ W
+			{"NT", func() { MatMulABTInto(out, x, w) }},   // input gradient: dY @ Wᵀ
+			{"TN", func() { MatMulATBAddInto(gw, x, x) }}, // weight gradient: Xᵀ @ dY
+		} {
+			b.Run(fmt.Sprintf("%dx%d/%s", sh.rows, sh.width, tc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tc.run()
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
-}
-
-// BenchmarkGEMMZeroSkip records the zero-skip delta both ways: on dense input
-// the branch is pure overhead versus the blocked kernel; on 90%-zero input
-// the skip pays — which is why it lives behind an explicit sparse-aware entry
-// point instead of pessimizing every dense matmul.
-func BenchmarkGEMMZeroSkip(b *testing.B) {
-	x, y, out := benchMats(benchDim)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulZeroSkipInto(out, x, y)
-		}
-	})
-	rng := rand.New(rand.NewSource(2))
-	for i := range x.Data {
-		if rng.Intn(10) != 0 {
-			x.Data[i] = 0
-		}
-	}
-	b.Run("sparse90", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulZeroSkipInto(out, x, y)
-		}
-	})
 }
 
 // BenchmarkGEMMFusedForward compares the Dense(+ReLU) forward as three

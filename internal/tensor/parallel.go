@@ -144,7 +144,7 @@ func (r *parRun) work() {
 
 // parallelTiles runs the job's ntiles disjoint tile tasks across the shared
 // pool, with the caller participating. Zero heap allocations once runPool
-// and the pack-buffer pool are warm.
+// and the pack-panel free list are warm.
 func parallelTiles(job *gemmJob, ntiles int) {
 	ensurePool()
 	helpers := int(poolTarget.Load()) - 1
