@@ -61,40 +61,50 @@ func operands(rng *rand.Rand, kind gemmKind, c gemmCase) (a, b *Matrix) {
 	}
 }
 
-// TestBlockedGemmBitIdenticalToReference pins every GEMM kind bit-identical
-// to the scalar reference across adversarial shapes, overwrite and
-// accumulate modes, and worker counts 1/2/8 — at the tuned block sizes (one
-// tile and panel per shape, the path small products take) and at shrunk
-// 4x4x3 blocks (many tiles, panels and ragged edges).
-func TestBlockedGemmBitIdenticalToReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+// requireGemmMatchesReference runs every GEMM kind over the adversarial
+// shapes in overwrite and accumulate modes at worker counts 1/2/8 and
+// requires each result bit-identical to the scalar reference.
+func requireGemmMatchesReference(t *testing.T, rng *rand.Rand, label string) {
+	t.Helper()
 	kinds := []gemmKind{gemmNN, gemmTN, gemmNT}
 	names := []string{"NN", "TN", "NT"}
-	for _, shrink := range []bool{false, true} {
-		if shrink {
-			shrinkBlocks(t, 4, 4, 3)
-		}
-		for _, w := range []int{1, 2, 8} {
-			prev := SetWorkers(w)
-			for ki, kind := range kinds {
-				for _, c := range adversarialShapes {
-					for _, acc := range []bool{false, true} {
-						a, b := operands(rng, kind, c)
-						got := randMat(rng, c.m, c.n) // garbage: overwrite must not leak it
-						want := got.Clone()
-						refGemm(kind, want, a, b, acc)
-						gemm(kind, got, a, b, acc, nil, nil)
-						ctx := fmt.Sprintf("%s %dx%dx%d shrink=%v", names[ki], c.m, c.n, c.k, shrink)
-						if acc {
-							ctx += "+acc"
-						}
-						requireSameBits(t, ctx, got, want)
+	for _, w := range []int{1, 2, 8} {
+		prev := SetWorkers(w)
+		for ki, kind := range kinds {
+			for _, c := range adversarialShapes {
+				for _, acc := range []bool{false, true} {
+					a, b := operands(rng, kind, c)
+					got := randMat(rng, c.m, c.n) // garbage: overwrite must not leak it
+					want := got.Clone()
+					refGemm(kind, want, a, b, acc)
+					gemm(kind, got, a, b, acc, nil, nil)
+					ctx := fmt.Sprintf("%s %s %dx%dx%d workers=%d", label, names[ki], c.m, c.n, c.k, w)
+					if acc {
+						ctx += "+acc"
 					}
+					requireSameBits(t, ctx, got, want)
 				}
 			}
-			SetWorkers(prev)
 		}
+		SetWorkers(prev)
 	}
+}
+
+// TestBlockedGemmBitIdenticalToReference pins every GEMM kind bit-identical
+// to the scalar reference at shrunk 4x4x3 blocks, so the adversarial shapes
+// span many tiles, k panels and ragged edges and fan out over the pool.
+func TestBlockedGemmBitIdenticalToReference(t *testing.T) {
+	shrinkBlocks(t, 4, 4, 3)
+	requireGemmMatchesReference(t, rand.New(rand.NewSource(42)), "blocked")
+}
+
+// TestSmallGemmBitIdenticalToReference pins small products bit-identical to
+// the scalar reference: at the tuned block sizes each adversarial shape fits
+// one tile and one k panel, the path small products take through the tiled
+// kernel, and every micro-tile remainder class (odd rows, odd columns, odd k)
+// must produce the same ascending-k chain per element.
+func TestSmallGemmBitIdenticalToReference(t *testing.T) {
+	requireGemmMatchesReference(t, rand.New(rand.NewSource(7)), "small")
 }
 
 // TestFusedEpiloguesBitIdentical pins the fused bias and bias+ReLU+mask
