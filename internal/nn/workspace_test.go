@@ -153,6 +153,44 @@ func TestReLUMaskSemantics(t *testing.T) {
 	}
 }
 
+// TestReLUMaskApplyMatchesPerBitRule pins the word-at-a-time Apply bit for
+// bit to the per-element rule (element i is zeroed unless mask bit i is set)
+// at every length 0-130, with random, all-zero, all-one and mixed mask words.
+func TestReLUMaskApplyMatchesPerBitRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	fills := []struct {
+		name string
+		word func() uint64
+	}{
+		{"random", rng.Uint64},
+		{"zero", func() uint64 { return 0 }},
+		{"ones", func() uint64 { return ^uint64(0) }},
+		{"mixed", func() uint64 { return []uint64{0, ^uint64(0), rng.Uint64()}[rng.Intn(3)] }},
+	}
+	for n := 0; n <= 130; n++ {
+		for _, f := range fills {
+			mk := NewReLUMask(n)
+			for w := range mk.Bits {
+				mk.Bits[w] = f.word()
+			}
+			got := tensor.New(1, n)
+			got.Randomize(rng, 1)
+			want := got.Clone()
+			for i := range want.Data {
+				if mk.Bits[i>>6]&(1<<(uint(i)&63)) == 0 {
+					want.Data[i] = 0
+				}
+			}
+			mk.Apply(got)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("n=%d %s: element %d = %v, want %v", n, f.name, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // TestWorkspaceMaskReuseResizes checks pooled masks re-target cleanly across
 // sizes (zeroed, right length).
 func TestWorkspaceMaskReuseResizes(t *testing.T) {

@@ -12,14 +12,17 @@ import (
 //   - The output is split into disjoint blockMC x blockNC tiles; the tile
 //     grid is the unit of parallelism (see parallel.go). A single-tile
 //     product runs inline on the caller, without pool dispatch.
-//   - Each tile walks the k dimension in blockKC panels. Per panel, b's
-//     slice is packed into a recycled panel of zero-padded 4-column slivers,
-//     so the micro-kernel reads each k step's 4 b values contiguously.
-//   - A 4x4 register-blocked micro-kernel does the FLOPs. On amd64 it is
-//     assembly (kernel_amd64.s): 8 two-lane XMM accumulators, VFMADD231PD
-//     on GOAMD64=v3/v4 and MULPD+ADDPD otherwise. Elsewhere, and under the
-//     race detector, the portable kern4x4Go runs instead. a is read in place
-//     through row and k strides, so no operand layout is transposed.
+//   - Each tile walks the k dimension in blockKC panels. The micro-kernel
+//     reads a in place through row and k strides, and b in place through its
+//     row stride for NN and TN. Only NT, whose logical b columns are b's
+//     rows, packs each panel into a recycled panel of 8-column slivers, so
+//     the micro-kernel reads each k step's 8 b values contiguously.
+//   - A 4x8 register-blocked micro-kernel does the FLOPs. On amd64 with AVX
+//     (checked once at start-up) it is assembly (kernel_amd64.s): 8
+//     four-lane YMM accumulators, VFMADD231PD on GOAMD64=v3/v4 and
+//     VMULPD+VADDPD otherwise. Elsewhere, on amd64 hosts without AVX, and
+//     under the race detector, the portable kern4x8Go runs instead. No
+//     operand layout is transposed apart from NT's b slivers.
 //
 // Determinism: a tile owns its output elements exclusively, and it runs its
 // k panels in increasing order with increasing kk inside each panel — so
@@ -30,7 +33,7 @@ import (
 // panel, which likewise touches each element exactly once.
 
 // Cache block sizes for the tiled core. At float64 these default to a
-// 192-deep packed b panel of 128 columns (192 KiB, L2-resident) against
+// 192-deep b panel of 128 columns (192 KiB, L2-resident) against
 // 128-row output tiles. They are variables, not constants, so property
 // tests can shrink them to force block-boundary-straddling and multi-tile
 // paths on small, checkable shapes.
@@ -136,7 +139,7 @@ func gemm(kind gemmKind, out, a, b *Matrix, accumulate bool, bias []float64, rel
 }
 
 // runTile computes one blockMC x blockNC output tile end to end: zero (or
-// keep, when accumulating) the tile, fold in every k panel through the 4x4
+// keep, when accumulating) the tile, fold in every k panel through the 4x8
 // micro-kernel, then apply the fused epilogues. Vector-kernel jobs dispatch
 // through the same entry point so the pool protocol stays shared.
 func (g *gemmJob) runTile(t int) {
@@ -155,80 +158,76 @@ func (g *gemmJob) runTile(t int) {
 			clear(g.out.Data[i*oc+j0 : i*oc+j1])
 		}
 	}
-	// Sized for the largest tile so a recycled panel never regrows: a warm
-	// kernel must not allocate whichever tile shape a panel served last.
-	bp := getPanel((blockNC + 3) / 4 * 4 * blockKC)
-	for pc := 0; pc < g.k; pc += blockKC {
-		kcb := min(blockKC, g.k-pc)
-		g.packB(bp, j0, j1, pc, kcb)
-		g.panel(i0, i1, j0, j1, pc, kcb, bp)
+	// Only NT packs b. Its panel is sized for the largest tile so a recycled
+	// panel never regrows: a warm kernel must not allocate whichever tile
+	// shape a panel served last.
+	var bp []float64
+	if g.kind == gemmNT {
+		bp = getPanel(blockNC / 8 * 8 * blockKC)
+		defer putPanel(bp)
 	}
-	putPanel(bp)
+	for pc := 0; pc < g.k; pc += blockKC {
+		g.panel(i0, i1, j0, j1, pc, min(blockKC, g.k-pc), bp)
+	}
 	g.epilogue(i0, i1, j0, j1)
 }
 
-// packB packs the k panel [pc, pc+kcb) of b's logical columns [j0, j1) into
-// 4-column slivers: sliver s holds logical b[pc+kk][j0+4s+x] at
-// bp[s*4*kcb+kk*4+x], lanes past j1 zeroed. NN and TN copy 4-wide row
-// segments; NT, whose logical columns are b's rows, interleaves 4 rows.
+// packB packs the k panel [pc, pc+kcb) of NT's logical b columns [j0, j1),
+// which are b's rows, into 8-column slivers: sliver s holds logical
+// b[pc+kk][j0+8s+x] at bp[s*8*kcb+kk*8+x], so the micro-kernel reads each k
+// step's 8 b values contiguously. Only full slivers are packed; the edge loop
+// reads the remaining columns in place.
 func (g *gemmJob) packB(bp []float64, j0, j1, pc, kcb int) {
 	bd, bc := g.b.Data, g.b.Cols
-	for j := j0; j < j1; j += 4 {
-		s := bp[(j-j0)*kcb:][:4*kcb]
-		switch w := j1 - j; {
-		case w < 4:
-			clear(s)
-			for x := 0; x < w; x++ {
-				for kk := 0; kk < kcb; kk++ {
-					s[kk*4+x] = bd[g.bIndex(pc+kk, j+x)]
-				}
-			}
-		case g.kind == gemmNT:
-			r0 := bd[j*bc+pc:][:kcb]
-			r1 := bd[(j+1)*bc+pc:][:kcb]
-			r2 := bd[(j+2)*bc+pc:][:kcb]
-			r3 := bd[(j+3)*bc+pc:][:kcb]
-			for kk, v := range r0 {
-				d := s[kk*4:][:4]
-				d[0], d[1], d[2], d[3] = v, r1[kk], r2[kk], r3[kk]
-			}
-		default:
-			for kk := 0; kk < kcb; kk++ {
-				r := bd[(pc+kk)*bc+j:][:4]
-				d := s[kk*4:][:4]
-				d[0], d[1], d[2], d[3] = r[0], r[1], r[2], r[3]
-			}
+	for j := j0; j+8 <= j1; j += 8 {
+		s := bp[(j-j0)*kcb:][:8*kcb]
+		r := bd[j*bc+pc:]
+		r0, r1, r2, r3 := r[:kcb], r[bc:][:kcb], r[2*bc:][:kcb], r[3*bc:][:kcb]
+		r4, r5, r6, r7 := r[4*bc:][:kcb], r[5*bc:][:kcb], r[6*bc:][:kcb], r[7*bc:][:kcb]
+		for kk, v := range r0 {
+			d := s[kk*8:][:8]
+			d[0], d[1], d[2], d[3] = v, r1[kk], r2[kk], r3[kk]
+			d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
 		}
 	}
 }
 
-// bIndex returns the flat index of logical b[kk][j].
-func (g *gemmJob) bIndex(kk, j int) int {
+// bStrides returns the flat-index steps of logical b[kk][j] along kk and j:
+// b is row-major for NN/TN and read column-wise as bᵀ for NT.
+func (g *gemmJob) bStrides() (bks, bjs int) {
 	if g.kind == gemmNT {
-		return j*g.b.Cols + kk
+		return 1, g.b.Cols
 	}
-	return kk*g.b.Cols + j
+	return g.b.Cols, 1
 }
 
-// panel folds one packed k panel into out[i0:i1, j0:j1]. Full 4x4 blocks go
-// to the micro-kernel, which reads a in place through its strides. Each
-// operand is cut to exactly the extent the kernel touches, so an index bug
-// panics here rather than letting assembly read past a buffer. Rows and
-// columns past the last full block take the same per-element chain in edge.
+// panel folds one k panel into out[i0:i1, j0:j1]. Full 4x8 blocks go to the
+// micro-kernel, which reads a in place through its strides, and b in place
+// (NN, TN) or from slivers packed into bp (NT). Each operand is cut to
+// exactly the extent the kernel touches, so an index bug panics here rather
+// than letting assembly read past a buffer. Rows and columns past the last
+// full block take the same per-element chain in edge.
 func (g *gemmJob) panel(i0, i1, j0, j1, pc, kcb int, bp []float64) {
 	ad, od, oc := g.a.Data, g.out.Data, g.out.Cols
 	ars, aks := g.aStrides()
 	aExt := 3*ars + (kcb-1)*aks + 1
+	// Output column j's b block starts at bd[bOff+(j-j0)*bcs].
+	bd, bOff, bcs, bks := g.b.Data, pc*g.b.Cols+j0, 1, g.b.Cols
+	if g.kind == gemmNT {
+		g.packB(bp, j0, j1, pc, kcb)
+		bd, bOff, bcs, bks = bp, 0, kcb, 8
+	}
+	bExt := (kcb-1)*bks + 8
 	i := i0
 	for ; i+4 <= i1; i += 4 {
 		ai := ad[i*ars+pc*aks:][:aExt]
 		j := j0
-		for ; j+4 <= j1; j += 4 {
-			microKernel(kcb, ai, ars, aks, bp[(j-j0)*kcb:][:4*kcb], od[i*oc+j:][:3*oc+4], oc)
+		for ; j+8 <= j1; j += 8 {
+			microKernel(kcb, ai, ars, aks, bd[bOff+(j-j0)*bcs:][:bExt], bks, od[i*oc+j:][:3*oc+8], oc)
 		}
-		g.edge(i, i+4, j, j1, j0, pc, kcb, bp)
+		g.edge(i, i+4, j, j1, pc, kcb)
 	}
-	g.edge(i, i1, j0, j1, j0, pc, kcb, bp)
+	g.edge(i, i1, j0, j1, pc, kcb)
 }
 
 // aStrides returns the flat-index steps of logical a[i][kk] along i and kk:
@@ -240,39 +239,44 @@ func (g *gemmJob) aStrides() (ars, aks int) {
 	return g.a.Cols, 1
 }
 
-// edge folds the panel into out[i0:i1, j0:j1] one element at a time, reading
-// b from the tile's slivers (the tile starts at column jt).
-func (g *gemmJob) edge(i0, i1, j0, j1, jt, pc, kcb int, bp []float64) {
-	ad, od, oc := g.a.Data, g.out.Data, g.out.Cols
+// edge folds the k panel into out[i0:i1, j0:j1] one element at a time,
+// reading a and b in place.
+func (g *gemmJob) edge(i0, i1, j0, j1, pc, kcb int) {
+	ad, bd, od, oc := g.a.Data, g.b.Data, g.out.Data, g.out.Cols
 	ars, aks := g.aStrides()
+	bks, bjs := g.bStrides()
 	for i := i0; i < i1; i++ {
 		for j := j0; j < j1; j++ {
-			s := bp[(j-jt)/4*4*kcb+(j-jt)%4:]
 			acc := od[i*oc+j]
-			for kk := 0; kk < kcb; kk++ {
-				acc = fmadd(ad[i*ars+(pc+kk)*aks], s[kk*4], acc)
+			for kk := pc; kk < pc+kcb; kk++ {
+				acc = fmadd(ad[i*ars+kk*aks], bd[kk*bks+j*bjs], acc)
 			}
 			od[i*oc+j] = acc
 		}
 	}
 }
 
-// kern4x4Go is the portable micro-kernel: c[i*ldc+j] += Σ a[i*ars+kk*aks] ·
-// b[kk*4+j] over kk ascending for i, j in [0, 4), one fmadd chain per output
-// element. The assembly kern4x4 has the same contract, bit for bit.
-func kern4x4Go(k int, a []float64, ars, aks int, b, c []float64, ldc int) {
+// kern4x8Go is the portable micro-kernel: c[i*ldc+j] += Σ a[i*ars+kk*aks] ·
+// b[kk*bks+j] over kk ascending for i in [0, 4), j in [0, 8), one fmadd chain
+// per output element. The assembly kern4x8 has the same contract, bit for
+// bit.
+func kern4x8Go(k int, a []float64, ars, aks int, b []float64, bks int, c []float64, ldc int) {
 	for i := 0; i < 4; i++ {
-		cr := c[i*ldc : i*ldc+4]
-		c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
+		cr := c[i*ldc:][:8]
+		c0, c1, c2, c3, c4, c5, c6, c7 := cr[0], cr[1], cr[2], cr[3], cr[4], cr[5], cr[6], cr[7]
 		for kk := 0; kk < k; kk++ {
 			av := a[i*ars+kk*aks]
-			br := b[kk*4 : kk*4+4]
+			br := b[kk*bks:][:8]
 			c0 = fmadd(av, br[0], c0)
 			c1 = fmadd(av, br[1], c1)
 			c2 = fmadd(av, br[2], c2)
 			c3 = fmadd(av, br[3], c3)
+			c4 = fmadd(av, br[4], c4)
+			c5 = fmadd(av, br[5], c5)
+			c6 = fmadd(av, br[6], c6)
+			c7 = fmadd(av, br[7], c7)
 		}
-		cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
+		cr[0], cr[1], cr[2], cr[3], cr[4], cr[5], cr[6], cr[7] = c0, c1, c2, c3, c4, c5, c6, c7
 	}
 }
 

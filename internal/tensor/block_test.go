@@ -37,14 +37,17 @@ func requireSameBits(t *testing.T, ctx string, got, want *Matrix) {
 // gemmCase holds one adversarial logical shape.
 type gemmCase struct{ m, n, k int }
 
-// adversarialShapes are chosen against 4x4x3 test blocks: degenerate dims,
-// exact block multiples, every remainder class, and zero dims (including the
-// K=0 case where overwrite must still zero the output).
+// adversarialShapes are chosen against the 4x8x3 and 4x12x3 test blocks and
+// the 4x8 micro-kernel: degenerate dims, exact block multiples, every row
+// remainder class, column remainders on both sides of 8, products wide
+// enough that a second 12-column tile runs the kernel from a column offset
+// that is not a multiple of 8, and zero dims (including the K=0 case where
+// overwrite must still zero the output).
 var adversarialShapes = []gemmCase{
 	{1, 1, 1}, {1, 9, 1}, {1, 1, 7}, {1, 17, 5},
 	{2, 4, 4}, {4, 4, 3}, {5, 5, 5}, {8, 8, 6},
 	{9, 13, 7}, {3, 17, 2}, {33, 2, 11}, {2, 33, 11},
-	{12, 12, 12}, {16, 8, 9},
+	{12, 12, 12}, {16, 8, 9}, {6, 26, 7}, {8, 20, 4},
 	{0, 5, 3}, {5, 0, 3}, {5, 3, 0}, {1, 1, 0},
 }
 
@@ -91,11 +94,17 @@ func requireGemmMatchesReference(t *testing.T, rng *rand.Rand, label string) {
 }
 
 // TestBlockedGemmBitIdenticalToReference pins every GEMM kind bit-identical
-// to the scalar reference at shrunk 4x4x3 blocks, so the adversarial shapes
-// span many tiles, k panels and ragged edges and fan out over the pool.
+// to the scalar reference at shrunk blocks, so the adversarial shapes span
+// many tiles, k panels and ragged edges and fan out over the pool. 4x8x3
+// tiles hold exactly one micro-kernel block; 4x12x3 tiles end in a 4-column
+// edge, so kernel blocks start at column offsets that are not multiples of 8.
 func TestBlockedGemmBitIdenticalToReference(t *testing.T) {
-	shrinkBlocks(t, 4, 4, 3)
-	requireGemmMatchesReference(t, rand.New(rand.NewSource(42)), "blocked")
+	for _, nc := range []int{8, 12} {
+		t.Run(fmt.Sprintf("4x%dx3", nc), func(t *testing.T) {
+			shrinkBlocks(t, 4, nc, 3)
+			requireGemmMatchesReference(t, rand.New(rand.NewSource(42)), "blocked")
+		})
+	}
 }
 
 // TestSmallGemmBitIdenticalToReference pins small products bit-identical to
@@ -112,9 +121,19 @@ func TestSmallGemmBitIdenticalToReference(t *testing.T) {
 // then rectify-and-record) across worker counts and shapes whose 64-bit mask
 // words straddle rows and tiles.
 func TestFusedEpiloguesBitIdentical(t *testing.T) {
-	shrinkBlocks(t, 4, 4, 3)
-	rng := rand.New(rand.NewSource(7))
-	shapes := []gemmCase{{1, 1, 1}, {3, 5, 4}, {9, 13, 7}, {27, 5, 6}, {16, 8, 9}, {5, 3, 0}}
+	for _, nc := range []int{8, 12} {
+		t.Run(fmt.Sprintf("4x%dx3", nc), func(t *testing.T) {
+			shrinkBlocks(t, 4, nc, 3)
+			requireFusedEpiloguesMatch(t, rand.New(rand.NewSource(7)))
+		})
+	}
+}
+
+// requireFusedEpiloguesMatch runs the fused-epilogue comparison of
+// TestFusedEpiloguesBitIdentical at the current block sizes.
+func requireFusedEpiloguesMatch(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	shapes := []gemmCase{{1, 1, 1}, {3, 5, 4}, {9, 13, 7}, {27, 5, 6}, {16, 8, 9}, {5, 3, 0}, {8, 26, 7}}
 	for _, w := range []int{1, 2, 8} {
 		prev := SetWorkers(w)
 		for _, c := range shapes {

@@ -53,14 +53,14 @@ func BenchmarkGEMMWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMLayerShapes times every kind at the per-replica layer shapes
-// of the repository benchmark's fixtures — a 16-row micro-batch through a
-// 128-wide layer (train-wide) and an 8-row one through a 48-wide layer
-// (session-tcp) — and reports GFLOP/s, the layer-by-layer view next to the
-// 512^3 numbers above.
+// BenchmarkGEMMLayerShapes times every kind at the layer shapes of the
+// repository benchmark's fixtures — train-wide's 32-row micro-batch through a
+// 128-wide layer and its 16-row per-replica share, and an 8-row share through
+// a 48-wide layer (session-tcp) — and reports GFLOP/s, the layer-by-layer
+// view next to the 512^3 numbers above.
 func BenchmarkGEMMLayerShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	for _, sh := range []struct{ rows, width int }{{16, 128}, {8, 48}} {
+	for _, sh := range []struct{ rows, width int }{{32, 128}, {16, 128}, {8, 48}} {
 		x := randMat(rng, sh.rows, sh.width) // activations / output gradients
 		w := randMat(rng, sh.width, sh.width)
 		out := New(sh.rows, sh.width)
