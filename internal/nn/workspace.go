@@ -52,24 +52,17 @@ func (mk *ReLUMask) forward(y *tensor.Matrix) {
 }
 
 // Apply zeroes the elements of m the mask blocked — the ReLU backward rule.
-// It works one mask word (64 elements) at a time: an all-ones word leaves its
-// elements alone and an all-zero word clears them. Only words with mixed bits
-// go element by element, ANDing each element's bits with all ones or all
-// zeros: a blocked element becomes +0 exactly as a store of 0 would, without
+// It ANDs each element's bits with all ones or all zeros, taken from its mask
+// bit, so a blocked element becomes +0 exactly as a store of 0 would, without
 // a branch on bits that follow no pattern.
 func (mk *ReLUMask) Apply(m *tensor.Matrix) {
 	d := m.Data
 	for w := 0; w*64 < len(d); w++ {
+		bits := mk.Bits[w]
 		seg := d[w*64 : min(len(d), w*64+64)]
-		switch bits := mk.Bits[w]; bits {
-		case ^uint64(0):
-		case 0:
-			clear(seg)
-		default:
-			for i, v := range seg {
-				seg[i] = math.Float64frombits(math.Float64bits(v) & -(bits & 1))
-				bits >>= 1
-			}
+		for i, v := range seg {
+			seg[i] = math.Float64frombits(math.Float64bits(v) & -(bits & 1))
+			bits >>= 1
 		}
 	}
 }

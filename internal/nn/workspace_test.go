@@ -153,7 +153,7 @@ func TestReLUMaskSemantics(t *testing.T) {
 	}
 }
 
-// TestReLUMaskApplyMatchesPerBitRule pins the word-at-a-time Apply bit for
+// TestReLUMaskApplyMatchesPerBitRule pins the branch-free Apply bit for
 // bit to the per-element rule (element i is zeroed unless mask bit i is set)
 // at every length 0-130, with random, all-zero, all-one and mixed mask words.
 func TestReLUMaskApplyMatchesPerBitRule(t *testing.T) {

@@ -211,11 +211,12 @@ func (g *gemmJob) panel(i0, i1, j0, j1, pc, kcb int, bp []float64) {
 	ad, od, oc := g.a.Data, g.out.Data, g.out.Cols
 	ars, aks := g.aStrides()
 	aExt := 3*ars + (kcb-1)*aks + 1
-	// Output column j's b block starts at bd[bOff+(j-j0)*bcs].
-	bd, bOff, bcs, bks := g.b.Data, pc*g.b.Cols+j0, 1, g.b.Cols
+	// Output column j's b block starts at bd[bOff+(j-j0)*bjs].
+	bks, bjs := g.bStrides()
+	bd, bOff := g.b.Data, pc*bks+j0*bjs
 	if g.kind == gemmNT {
 		g.packB(bp, j0, j1, pc, kcb)
-		bd, bOff, bcs, bks = bp, 0, kcb, 8
+		bd, bOff, bks, bjs = bp, 0, 8, kcb
 	}
 	bExt := (kcb-1)*bks + 8
 	i := i0
@@ -223,7 +224,7 @@ func (g *gemmJob) panel(i0, i1, j0, j1, pc, kcb int, bp []float64) {
 		ai := ad[i*ars+pc*aks:][:aExt]
 		j := j0
 		for ; j+8 <= j1; j += 8 {
-			microKernel(kcb, ai, ars, aks, bd[bOff+(j-j0)*bcs:][:bExt], bks, od[i*oc+j:][:3*oc+8], oc)
+			microKernel(kcb, ai, ars, aks, bd[bOff+(j-j0)*bjs:][:bExt], bks, od[i*oc+j:][:3*oc+8], oc)
 		}
 		g.edge(i, i+4, j, j1, pc, kcb)
 	}
